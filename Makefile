@@ -4,7 +4,7 @@ GO ?= go
 # race-detector tier in `make check`.
 RACE_PKGS := ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
 
-.PHONY: all build test race check bench vet fmt crashaudit soak
+.PHONY: all build test race check bench bench-smoke vet fmt crashaudit soak
 
 all: check
 
@@ -40,9 +40,20 @@ crashaudit:
 soak:
 	DISTLOG_SOAK=1 $(GO) test ./internal/recman/ -run TestSoakET1WeekDiskPlateau -v -timeout 30m -count=1
 
+# bench-smoke keeps the benchmark building and running. bench/ is its
+# own module, outside `go build ./...`, yet it compiles against the
+# façade and half of internal/: without this nothing in the gate notices
+# a refactor that breaks it. Vet and unit-test the module, then run every
+# workload for a second, traced and untraced, through the launcher
+# BENCHMARK.json names (same module flags as bench/run.sh).
+bench-smoke:
+	cd bench && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./... && GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
+	bash bench/run.sh --smoke
+
 # check is the CI gate: tier-1 build+tests, vet, the race tier over the
-# client/wire/server packages, and the crash-point audit.
-check: build test vet race crashaudit
+# client/wire/server packages, the crash-point audit, and the benchmark
+# smoke.
+check: build test vet race crashaudit bench-smoke
 
 # bench runs the write-path and read-path benchmarks and records the
 # results in BENCH_writepath.json and BENCH_readpath.json (see bench.sh).

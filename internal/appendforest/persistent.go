@@ -23,6 +23,13 @@ type PersistentForest struct {
 	count  int64
 	roots  []int64 // positions of tree roots, leftmost first
 	maxKey uint64
+
+	// Where the last successful Lookup landed. The node log is the key
+	// sequence, so a scan's next key is one position away: Lookup tries
+	// the neighbour — one node read — before the O(log n) descent.
+	lastPos int64
+	lastKey uint64
+	hasLast bool
 }
 
 // NodeStore is the append-only storage for encoded nodes. Nodes are
@@ -182,10 +189,27 @@ func (f *PersistentForest) read(pos int64) (pnode, error) {
 	return decodePNode(buf[:]), nil
 }
 
-// Lookup returns the payload for key, reading O(log n) nodes.
+// Lookup returns the payload for key, reading O(log n) nodes — or one,
+// when key is the neighbour of the key looked up last (a scan).
 func (f *PersistentForest) Lookup(key uint64) (int64, bool, error) {
 	if f.count == 0 || key > f.maxKey {
 		return 0, false, nil
+	}
+	if f.hasLast && key != f.lastKey {
+		near := f.lastPos + 1
+		if key < f.lastKey {
+			near = f.lastPos - 1
+		}
+		if near >= 0 && near < f.count {
+			nd, err := f.read(near)
+			if err != nil {
+				return 0, false, err
+			}
+			if nd.key == key {
+				f.lastPos, f.lastKey = near, key
+				return nd.payload, true, nil
+			}
+		}
 	}
 	pos := f.roots[len(f.roots)-1]
 	cur, err := f.read(pos)
@@ -201,12 +225,13 @@ func (f *PersistentForest) Lookup(key uint64) (int64, bool, error) {
 		if prev.key < key {
 			break
 		}
-		cur = prev
+		pos, cur = cur.forest, prev
 	}
 	// Binary-tree descent.
 	for {
 		switch {
 		case key == cur.key:
+			f.lastPos, f.lastKey, f.hasLast = pos, key, true
 			return cur.payload, true, nil
 		case key > cur.key || key < cur.min:
 			return 0, false, nil
@@ -216,9 +241,10 @@ func (f *PersistentForest) Lookup(key uint64) (int64, bool, error) {
 				return 0, false, err
 			}
 			if key <= left.key {
-				cur = left
+				pos, cur = cur.left, left
 			} else {
-				cur, err = f.read(cur.right)
+				pos = cur.right
+				cur, err = f.read(pos)
 				if err != nil {
 					return 0, false, err
 				}

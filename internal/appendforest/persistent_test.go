@@ -211,6 +211,83 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 	}
 }
 
+// readCountingStore counts node reads.
+type readCountingStore struct {
+	MemNodeStore
+	reads int
+}
+
+func (s *readCountingStore) ReadNode(pos int64, buf []byte) error {
+	s.reads++
+	return s.MemNodeStore.ReadNode(pos, buf)
+}
+
+// TestPersistentScanReadsOneNodePerKey: a lookup of the key next to the
+// one looked up last — a scan, in either direction — costs one node
+// read, not a descent; and whatever order keys are looked up in, with
+// appends in between, the neighbour shortcut never changes an answer.
+func TestPersistentScanReadsOneNodePerKey(t *testing.T) {
+	store := &readCountingStore{}
+	var mem Forest[int64]
+	pf, err := OpenPersistent(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4096
+	appendKey := func(k uint64) {
+		t.Helper()
+		if err := mem.Append(k, int64(k)*3); err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.Append(k, int64(k)*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1); k <= n; k++ {
+		appendKey(2 * k) // even keys: every odd probe is a miss
+	}
+	check := func(probe uint64) {
+		t.Helper()
+		mv, mok := mem.Lookup(probe)
+		pv, pok, err := pf.Lookup(probe)
+		if err != nil || mok != pok || (mok && mv != pv) {
+			t.Fatalf("Lookup(%d): mem %d,%v vs persistent %d,%v (%v)", probe, mv, mok, pv, pok, err)
+		}
+	}
+
+	check(2) // position the scan
+	store.reads = 0
+	for k := uint64(2); k <= n; k++ {
+		check(2 * k)
+	}
+	if store.reads != n-1 {
+		t.Fatalf("ascending scan of %d keys read %d nodes, want one each", n-1, store.reads)
+	}
+	store.reads = 0
+	for k := uint64(n - 1); k >= 1; k-- {
+		check(2 * k)
+	}
+	if store.reads != n-1 {
+		t.Fatalf("descending scan of %d keys read %d nodes, want one each", n-1, store.reads)
+	}
+
+	// Any order, hits and misses, appends in between.
+	seed := uint64(12345)
+	next := uint64(2*n + 2)
+	for i := 0; i < 5000; i++ {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		switch seed >> 62 {
+		case 0:
+			appendKey(next)
+			next += 2
+		case 1:
+			check(seed >> 33 % (next + 4)) // random probe
+		default:
+			check(seed>>33%8 + 2*(seed>>40%n)) // near an existing key
+		}
+	}
+}
+
 func BenchmarkPersistentLookupFile(b *testing.B) {
 	store, err := OpenFileNodeStore(filepath.Join(b.TempDir(), "nodes"))
 	if err != nil {

@@ -103,18 +103,6 @@ type Config struct {
 	// OverAllocPause is how long a sender pauses before exceeding its
 	// allocation. Zero means wire.DefaultOverAllocPause (2s).
 	OverAllocPause time.Duration
-	// ReadAhead is the cursor prefetch window: how many range-fetch
-	// tasks an open cursor keeps in flight ahead of the consumer.
-	// Default 8.
-	ReadAhead int
-	// ScanSpan is how many LSNs one cursor fetch task covers; tasks are
-	// additionally clamped at holder-segment boundaries so each task
-	// has a single holder set. Default 128.
-	ScanSpan int
-	// StreamPackets is the reply-packet budget a cursor attaches to each
-	// ReadStream request (the server clamps it to its own maximum).
-	// Default 4.
-	StreamPackets int
 	// Streams is K, the number of independent log streams this client
 	// writes (parallel multi-stream logging). Each stream owns its own
 	// LSN sequence, send window, and per-server sessions, all sharing
@@ -169,12 +157,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: negative FlushInterval %v", c.FlushInterval)
 	case c.OverAllocPause < 0:
 		return fmt.Errorf("core: negative OverAllocPause %v", c.OverAllocPause)
-	case c.ReadAhead < 0:
-		return fmt.Errorf("core: negative ReadAhead %d", c.ReadAhead)
-	case c.ScanSpan < 0:
-		return fmt.Errorf("core: negative ScanSpan %d", c.ScanSpan)
-	case c.StreamPackets < 0:
-		return fmt.Errorf("core: negative StreamPackets %d", c.StreamPackets)
 	case c.Streams < 0:
 		return fmt.Errorf("core: negative Streams %d", c.Streams)
 	}
@@ -202,15 +184,6 @@ func (c *Config) Validate() error {
 	if c.FlushInterval == 0 {
 		c.FlushInterval = 200 * time.Microsecond
 	}
-	if c.ReadAhead == 0 {
-		c.ReadAhead = 8
-	}
-	if c.ScanSpan == 0 {
-		c.ScanSpan = 128
-	}
-	if c.StreamPackets == 0 {
-		c.StreamPackets = 4
-	}
 	return nil
 }
 
@@ -231,13 +204,13 @@ type Stats struct {
 	Failovers       uint64
 	Migrations      uint64 // completed write-set migrations (see Migrate)
 	Resends         uint64
-	// Cursor activity. These are incremented by concurrent prefetch
-	// tasks (off the client mutex), so they are monotone but not
-	// transactionally consistent with the write-path counters above.
+	// Cursor activity. These are incremented by scans running off the
+	// client mutex, so they are monotone but not transactionally
+	// consistent with the write-path counters above.
 	CursorStreams  uint64 // ReadStream requests issued
-	StreamRestarts uint64 // mid-stream holder switches after an abnormal stream end
-	PrefetchHits   uint64 // cursor advanced onto a task that had already completed
-	PrefetchWaits  uint64 // cursor had to block on an in-flight task
+	StreamRestarts uint64 // holder switches after a stream ended short of its stretch
+	PrefetchHits   uint64 // cursor advanced onto a batch that had already arrived
+	PrefetchWaits  uint64 // cursor had to block for the next batch
 	// Streaming-write activity (see sendwindow.go). Incremented off the
 	// client mutex like the cursor family: monotone, not transactionally
 	// consistent with the write-path counters.
@@ -500,34 +473,192 @@ func (l *ReplicatedLog) reportFloor(sess *session) {
 	sess.peer.Send(wire.TTruncatePoint, 0, (&wire.LSNPayload{LSN: floor}).Encode())
 }
 
-// initialize runs the Section 3.1.2 client initialization.
+// initialize runs the Section 3.1.2 client initialization: gather
+// interval lists, obtain a new epoch, re-copy the doubtful tail under
+// it and install the copies. Every step fans out to the servers it
+// involves at once, and the epoch generator — which depends on nothing
+// the servers hold — runs alongside the gather and the tail read, so a
+// restart costs five round trips (handshake; interval lists ∥ epoch
+// read; tail read ∥ epoch write; CopyLog; InstallCopies) whatever M, N
+// and δ are.
 func (l *ReplicatedLog) initialize() error {
-	// 1. Gather interval lists from at least M-N+1 servers.
-	need := len(l.cfg.Servers) - l.cfg.N + 1
-	lists := make(map[string][]record.Interval)
-	var live []*session
-	for _, addr := range l.cfg.Servers {
-		sess, err := l.dial(addr)
-		if err != nil {
-			continue
-		}
-		resp, err := sess.call(wire.TIntervalListReq, (&wire.IntervalListPayload{}).Encode())
-		if err != nil {
-			continue
-		}
-		p, err := wire.DecodeIntervalListPayload(resp.Payload)
-		if err != nil {
-			continue
-		}
-		lists[addr] = p.Intervals
-		live = append(live, sess)
+	// Obtain a new epoch number, higher than any used before.
+	type epochResult struct {
+		epoch uint64
+		err   error
 	}
-	if len(lists) < need {
+	epochCh := make(chan epochResult, 1)
+	go func() {
+		epoch, err := l.newEpoch()
+		epochCh <- epochResult{epoch, err}
+	}()
+
+	// Gather interval lists from at least M-N+1 servers.
+	lists := l.gatherIntervalLists()
+	if need := len(l.cfg.Servers) - l.cfg.N + 1; len(lists) < need {
+		<-epochCh
 		return fmt.Errorf("%w: have %d, need %d", ErrInitQuorum, len(lists), need)
 	}
 	merged := record.Merge(lists)
+	high := merged.High()
+	l.mu.Lock()
+	l.holders = newHolders(merged)
+	l.nextLSN = high + 1 // until recovery completes, the log ends where the servers say
+	l.mu.Unlock()
 
-	// 2. Obtain a new epoch number, higher than any used before.
+	// Crash recovery: the most recent δ records are doubtful (the
+	// previous incarnation may have partially written any of them).
+	// Read them — positions never completed come back as not-present
+	// markers — with the scan every other read uses.
+	delta := record.LSN(l.cfg.Delta)
+	copyLow := record.LSN(1)
+	if high > delta {
+		copyLow = high - delta + 1
+	}
+	var staged []record.Record
+	var err error
+	if high > 0 {
+		if staged, err = l.readRange(copyLow, high, Forward, streamWindow); err != nil {
+			err = fmt.Errorf("core: recovery read of LSNs %d..%d: %w", copyLow, high, err)
+		}
+	}
+	er := <-epochCh
+	if err != nil {
+		return err
+	}
+	if er.err != nil {
+		return fmt.Errorf("core: obtaining new epoch: %w", er.err)
+	}
+	l.mu.Lock()
+	l.epoch = record.Epoch(er.epoch)
+	l.mu.Unlock()
+
+	// Choose the write set: N live servers ranked by rendezvous
+	// hashing over the (client, server) pair, so a population of
+	// clients spreads its load across the M servers (the simple
+	// decentralized assignment Section 5.4 anticipates) and a
+	// membership change re-maps only the clients of the changed server.
+	// The ranking is shared with the loadassign simulation and the live
+	// rebalancer, so all three agree on where a client belongs.
+	if len(lists) < l.cfg.N {
+		return fmt.Errorf("%w: only %d servers reachable, need N=%d", ErrUnavailable, len(lists), l.cfg.N)
+	}
+	var liveAddrs []string
+	for _, addr := range l.cfg.Servers {
+		if _, ok := lists[addr]; ok {
+			liveAddrs = append(liveAddrs, addr)
+		}
+	}
+	writeSet := loadassign.Pick(uint64(l.cfg.ClientID), l.cfg.N, liveAddrs)
+
+	// Copy each doubtful record under the new epoch, write δ
+	// not-present records above the old end of log, and install
+	// everything atomically — on all N servers at once.
+	for i := range staged {
+		staged[i].Epoch = l.epoch
+	}
+	for lsn := high + 1; lsn <= high+delta; lsn++ {
+		staged = append(staged, record.Record{LSN: lsn, Epoch: l.epoch, Present: false})
+	}
+	errs := make([]error, len(writeSet))
+	var wg sync.WaitGroup
+	for i, addr := range writeSet {
+		wg.Add(1)
+		go func(i int, addr string) {
+			defer wg.Done()
+			errs[i] = l.installCopies(addr, staged)
+		}(i, addr)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+
+	l.mu.Lock()
+	l.writeSet = writeSet
+	l.holders.add(l.epoch, staged[0].LSN, staged[len(staged)-1].LSN, writeSet)
+	l.nextLSN = high + delta + 1
+	l.lastLSN.Store(uint64(high + delta))
+	l.mu.Unlock()
+	return nil
+}
+
+// gatherIntervalLists dials every server and asks for its interval
+// list, all at once, and returns the lists that arrived by the time
+// enough had: the M-N+1 the merge needs, with every server the write
+// set would be placed on if all M were up among them — or, failing
+// that, everything the servers that can be reached had to say. A dead
+// server outside the preferred write set therefore costs a restart
+// nothing; its dial finishes, unheard, in the background (Close waits
+// for it).
+func (l *ReplicatedLog) gatherIntervalLists() map[string][]record.Interval {
+	type answer struct {
+		addr string
+		ivs  []record.Interval
+		err  error
+	}
+	answers := make(chan answer, len(l.cfg.Servers)) // one slot per server: a late answer never blocks
+	for _, addr := range l.cfg.Servers {
+		l.pumpWG.Add(1)
+		go func(addr string) {
+			defer l.pumpWG.Done()
+			a := answer{addr: addr}
+			defer func() { answers <- a }()
+			var sess *session
+			if sess, a.err = l.dial(addr); a.err != nil {
+				return
+			}
+			a.ivs, a.err = intervalList(sess)
+		}(addr)
+	}
+	need := len(l.cfg.Servers) - l.cfg.N + 1
+	preferred := loadassign.Pick(uint64(l.cfg.ClientID), l.cfg.N, l.cfg.Servers)
+	lists := make(map[string][]record.Interval)
+	enough := func() bool {
+		if len(lists) < need {
+			return false
+		}
+		for _, addr := range preferred {
+			if _, ok := lists[addr]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for answered := 0; answered < len(l.cfg.Servers) && !enough(); answered++ {
+		if a := <-answers; a.err == nil {
+			lists[a.addr] = a.ivs
+		}
+	}
+	return lists
+}
+
+// intervalList fetches the client's whole interval list from one
+// server: one call, unless the list has outgrown a packet, in which
+// case the older pages are fetched until one comes back short.
+func intervalList(sess *session) ([]record.Interval, error) {
+	var ivs []record.Interval
+	for {
+		req := wire.IntervalListReqPayload{Skip: uint32(len(ivs))}
+		resp, err := sess.call(wire.TIntervalListReq, req.Encode())
+		if err != nil {
+			return nil, err
+		}
+		page, err := wire.DecodeIntervalListPayload(resp.Payload)
+		if err != nil {
+			return nil, err
+		}
+		ivs = append(page.Intervals, ivs...)
+		if len(page.Intervals) < wire.MaxIntervalsPerPacket {
+			return ivs, nil
+		}
+	}
+}
+
+// newEpoch draws the next epoch from the replicated generator.
+func (l *ReplicatedLog) newEpoch() (uint64, error) {
 	reps := l.cfg.EpochReps
 	if reps == nil {
 		for _, addr := range l.cfg.Servers {
@@ -536,130 +667,56 @@ func (l *ReplicatedLog) initialize() error {
 	}
 	gen, err := idgen.New(reps...)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	epoch, err := gen.NewID()
+	return gen.NewID()
+}
+
+// installCopies stages the recovery records on one write-set server
+// and installs them.
+func (l *ReplicatedLog) installCopies(addr string, staged []record.Record) error {
+	sess, err := l.dial(addr)
 	if err != nil {
-		return fmt.Errorf("core: obtaining new epoch: %w", err)
+		return fmt.Errorf("core: recovery dial %s: %w", addr, err)
 	}
-
-	l.mu.Lock()
-	l.holders = newHolders(merged)
-	l.epoch = record.Epoch(epoch)
-	l.mu.Unlock()
-
-	// 3. Choose the write set: N live servers ranked by rendezvous
-	// hashing over the (client, server) pair, so a population of
-	// clients spreads its load across the M servers (the simple
-	// decentralized assignment Section 5.4 anticipates) and a
-	// membership change re-maps only the clients of the changed server.
-	// The ranking is shared with the loadassign simulation and the live
-	// rebalancer, so all three agree on where a client belongs.
-	if len(live) < l.cfg.N {
-		return fmt.Errorf("%w: only %d servers reachable, need N=%d", ErrUnavailable, len(live), l.cfg.N)
+	if err := l.sendCopies(sess, staged); err != nil {
+		return fmt.Errorf("core: CopyLog to %s: %w", addr, err)
 	}
-	liveAddrs := make([]string, len(live))
-	for i, sess := range live {
-		liveAddrs[i] = sess.addr
+	faultpoint.Hit(FPInitCopied)
+	installPayload := (&wire.InstallPayload{Epoch: l.epoch}).Encode()
+	if _, err := sess.call(wire.TInstallCopiesReq, installPayload); err != nil {
+		return fmt.Errorf("core: InstallCopies on %s: %w", addr, err)
 	}
-	writeSet := loadassign.Pick(uint64(l.cfg.ClientID), l.cfg.N, liveAddrs)
-
-	// 4. Crash recovery: the most recent δ records are doubtful (the
-	// previous incarnation may have partially written any of them).
-	// Copy each under the new epoch — substituting a not-present marker
-	// for positions never completed — then write δ not-present records
-	// above the old end of log, and install everything atomically.
-	high := merged.High()
-	delta := record.LSN(l.cfg.Delta)
-	copyLow := record.LSN(1)
-	if high > delta {
-		copyLow = high - delta + 1
-	}
-	var staged []record.Record
-	for lsn := copyLow; lsn <= high; lsn++ {
-		if merged.Covered(lsn) {
-			rec, err := l.fetchRecord(lsn, merged.Servers(lsn), merged.EpochAt(lsn))
-			if err != nil {
-				return fmt.Errorf("core: recovery read of LSN %d: %w", lsn, err)
-			}
-			rec.Epoch = l.epoch
-			staged = append(staged, rec)
-		} else {
-			staged = append(staged, record.Record{LSN: lsn, Epoch: l.epoch, Present: false})
-		}
-	}
-	for lsn := high + 1; lsn <= high+delta; lsn++ {
-		staged = append(staged, record.Record{LSN: lsn, Epoch: l.epoch, Present: false})
-	}
-
-	for _, addr := range writeSet {
-		sess, err := l.dial(addr)
-		if err != nil {
-			return fmt.Errorf("core: recovery dial %s: %w", addr, err)
-		}
-		if err := l.sendCopies(sess, staged); err != nil {
-			return fmt.Errorf("core: CopyLog to %s: %w", addr, err)
-		}
-		faultpoint.Hit(FPInitCopied)
-		installPayload := (&wire.InstallPayload{Epoch: l.epoch}).Encode()
-		if _, err := sess.call(wire.TInstallCopiesReq, installPayload); err != nil {
-			return fmt.Errorf("core: InstallCopies on %s: %w", addr, err)
-		}
-		faultpoint.Hit(FPInitInstalled)
-	}
-
-	l.mu.Lock()
-	l.writeSet = writeSet
-	if len(staged) > 0 {
-		l.holders.add(l.epoch, staged[0].LSN, staged[len(staged)-1].LSN, writeSet)
-	}
-	l.nextLSN = high + delta + 1
-	l.lastLSN.Store(uint64(high + delta))
-	l.mu.Unlock()
+	faultpoint.Hit(FPInitInstalled)
 	return nil
 }
 
-// sendCopies streams staged recovery records to one server in packet-
-// sized CopyLog calls. The record-aware call path keeps the frame
-// version honest when re-copied records carry dependency vectors.
+// sendCopies stages recovery records on one server in packet-sized
+// CopyLog calls, every frame sent before any reply is awaited — staging
+// is idempotent and order-free, so the whole tail costs one round trip.
+// The record-aware call path keeps the frame version honest when
+// re-copied records carry dependency vectors.
 func (l *ReplicatedLog) sendCopies(sess *session, staged []record.Record) error {
+	var calls []rpc
 	for len(staged) > 0 {
 		n := wire.FitRecords(staged)
 		if n == 0 {
 			return fmt.Errorf("core: recovery record too large for a packet")
 		}
-		if _, err := sess.callRecords(wire.TCopyLogReq, l.epoch, staged[:n]); err != nil {
-			return err
-		}
+		calls = append(calls, rpc{t: wire.TCopyLogReq, epoch: l.epoch, recs: staged[:n]})
 		staged = staged[n:]
 	}
-	return nil
-}
-
-// fetchRecord reads one record, trying each holder (and verifying the
-// returned epoch so a stale lower-epoch copy is never accepted).
-func (l *ReplicatedLog) fetchRecord(lsn record.LSN, servers []string, wantEpoch record.Epoch) (record.Record, error) {
-	for _, addr := range servers {
-		sess, err := l.dial(addr)
-		if err != nil {
-			continue
-		}
-		req := wire.LSNPayload{LSN: lsn}
-		resp, err := sess.call(wire.TReadForwardReq, req.Encode())
-		if err != nil {
-			continue
-		}
-		p, err := wire.DecodeRecordsPayload(resp.Payload)
-		if err != nil || len(p.Records) == 0 {
-			continue
-		}
-		for _, rec := range p.Records {
-			if rec.LSN == lsn && rec.Epoch >= wantEpoch {
-				return rec, nil
-			}
+	for i := range calls {
+		if err := sess.start(&calls[i]); err != nil {
+			return err
 		}
 	}
-	return record.Record{}, fmt.Errorf("%w: LSN %d on %v", ErrUnavailable, lsn, servers)
+	for i := range calls {
+		if _, err := sess.finish(&calls[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Epoch returns the epoch number of this client incarnation.
@@ -1263,8 +1320,6 @@ func (l *ReplicatedLog) ReadRecord(lsn record.LSN) (record.Record, error) {
 		return rec.Clone(), nil
 	}
 	l.m.readCacheMisses.Add(1)
-	servers := l.holders.serversFor(lsn)
-	wantEpoch := l.holders.epochFor(lsn)
 	l.m.reads.Add(1)
 	covered := l.holders.covered(lsn)
 	l.mu.Unlock()
@@ -1276,10 +1331,10 @@ func (l *ReplicatedLog) ReadRecord(lsn record.LSN) (record.Record, error) {
 		// scans can skip it uniformly.
 		return record.Record{LSN: lsn, Present: false}, nil
 	}
-	// One-record streaming fetch: the same path (and the same holder
-	// failover) a cursor uses, so a single ReadRecord costs exactly one
-	// request and one reply chunk.
-	recs, err := l.fetchRange(lsn, lsn, Forward, servers, wantEpoch, 0)
+	// One-record scan: the same path (and the same holder failover) a
+	// cursor uses, so a single ReadRecord costs exactly one request and
+	// one reply chunk.
+	recs, err := l.readRange(lsn, lsn, Forward, 1)
 	if err != nil {
 		return record.Record{}, err
 	}

@@ -32,19 +32,21 @@ func (d Direction) String() string {
 // exactly as a ReadRecord loop would. A cursor is not safe for
 // concurrent use; open one per scanning goroutine.
 //
-// Behind Next sits a pipelined fetch engine: the cursor keeps a window
-// of range-fetch tasks in flight (Config.ReadAhead), each covering up
-// to Config.ScanSpan LSNs of a single holder segment, fanned out across
-// the holder set and failing over to another holder mid-stream on
-// timeout. A consumer that processes records slower than the network
-// delivers them therefore never waits on a round trip.
+// Behind Next a scan runs ahead of the consumer: one long-lived read
+// stream per holder over the whole contiguous stretch that holder
+// covers, kept full by a packet credit the cursor grants as it consumes
+// (Figure 4.1's window flow control, pointed at the reader), resuming
+// on another holder from the last in-order record when a stream dies.
+// A scan therefore costs a round trip per holder stretch plus transfer
+// time, and a cursor's memory is bounded by the credit window however
+// long the log.
 type Cursor interface {
 	// Next returns the record at the cursor position and advances. At
 	// the end of the scan (past the end of the log, or below LSN 1) it
 	// returns ErrBeyondEnd.
 	Next() (record.Record, error)
-	// Seek repositions the cursor to lsn, keeping its direction.
-	// In-flight prefetch for the old position is discarded.
+	// Seek repositions the cursor to lsn, keeping its direction. The
+	// scan running ahead from the old position is abandoned.
 	Seek(lsn record.LSN) error
 	// Close releases the cursor. Next and Seek fail afterwards.
 	Close() error
@@ -69,15 +71,9 @@ func (l *ReplicatedLog) OpenCursor(from record.LSN, dir Direction) (Cursor, erro
 		return nil, fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, from, end)
 	}
 	l.mu.Unlock()
-	c := &streamCursor{
-		l:      l,
-		dir:    dir,
-		pos:    from,
-		carve:  from,
-		opened: time.Now(),
-	}
+	c := &streamCursor{l: l, dir: dir, pos: from, opened: time.Now()}
 	c.mu.Lock()
-	c.refillLocked()
+	c.startLocked()
 	c.mu.Unlock()
 	return c, nil
 }

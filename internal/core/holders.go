@@ -1,6 +1,11 @@
 package core
 
-import "distlog/internal/record"
+import (
+	"slices"
+	"sort"
+
+	"distlog/internal/record"
+)
 
 // holders tracks which servers store each log record: the merged
 // interval lists gathered at initialization, overlaid by the intervals
@@ -22,18 +27,35 @@ func newHolders(merged *record.MergedList) *holders {
 	return &holders{merged: merged}
 }
 
-// add records that servers now hold [low, high] at the given epoch.
+// add records that servers now hold [low, high] at the given epoch. The
+// set is stored sorted, as the merged view keeps its sets, so a stretch
+// runs on across the seam between the two.
 func (h *holders) add(epoch record.Epoch, low, high record.LSN, servers []string) {
 	if n := len(h.live); n > 0 {
 		last := &h.live[n-1]
-		if last.iv.Epoch == epoch && last.iv.High+1 == low && equalStrings(last.servers, servers) {
+		if last.iv.Epoch == epoch && last.iv.High+1 == low && sameSet(last.servers, servers) {
 			last.iv.High = high
 			return
 		}
 	}
 	cp := make([]string, len(servers))
 	copy(cp, servers)
+	sort.Strings(cp)
 	h.live = append(h.live, liveEntry{iv: record.Interval{Epoch: epoch, Low: low, High: high}, servers: cp})
+}
+
+// sameSet reports whether b is a reordering of a (both duplicate-free,
+// as server sets are).
+func sameSet(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
+	}
+	return true
 }
 
 // serversFor returns the servers known to hold the winning copy of
@@ -92,6 +114,42 @@ func (h *holders) segment(lsn record.LSN) (record.Interval, []string, bool) {
 		}
 	}
 	return iv, servers, true
+}
+
+// stretch returns the longest run of consecutive LSNs from lsn toward
+// bound (on either side of it) that lsn's holder set covers without a
+// break, as the run's winning-epoch segments in ascending LSN order,
+// with that holder set: what one server can stream in a single request,
+// however many epochs' worth of segments it crosses. lsn must be
+// covered.
+func (h *holders) stretch(lsn, bound record.LSN) ([]record.Interval, []string) {
+	iv, servers, _ := h.segment(lsn)
+	forward := bound >= lsn
+	var segs []record.Interval
+	for {
+		if forward {
+			iv.Low, iv.High = max(iv.Low, lsn), min(iv.High, bound)
+		} else {
+			iv.Low, iv.High = max(iv.Low, bound), min(iv.High, lsn)
+		}
+		segs = append(segs, iv)
+		next := iv.High + 1
+		if !forward {
+			next = iv.Low - 1
+		}
+		if (forward && next > bound) || (!forward && next < bound) || next == 0 {
+			break
+		}
+		niv, nservers, ok := h.segment(next)
+		if !ok || !equalStrings(nservers, servers) {
+			break
+		}
+		iv = niv
+	}
+	if !forward {
+		slices.Reverse(segs)
+	}
+	return segs, servers
 }
 
 func equalStrings(a, b []string) bool {

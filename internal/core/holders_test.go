@@ -115,9 +115,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Delta != 16 || cfg.CallTimeout == 0 || cfg.Retries == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
-	if cfg.ReadAhead != 8 || cfg.ScanSpan == 0 || cfg.StreamPackets == 0 {
-		t.Fatalf("cursor defaults not filled: %+v", cfg)
-	}
 }
 
 type dummyEndpoint struct{}

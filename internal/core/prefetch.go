@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -10,97 +12,83 @@ import (
 	"distlog/internal/wire"
 )
 
-// streamCursor is the Cursor implementation: a window of range-fetch
-// tasks kept in flight ahead of the consumer. Each task covers up to
-// Config.ScanSpan consecutive LSNs of one holder segment; remote tasks
-// run on their own goroutine and stream their range from a holder,
-// local tasks (outstanding records, truncated or uncovered positions)
-// are materialized inline. Tasks are consumed strictly in scan order,
-// so the window never reorders records — it only overlaps their
-// network round trips.
-type streamCursor struct {
-	l   *ReplicatedLog
-	dir Direction
+// Read-stream flow control: Figure 4.1's moving window pointed at the
+// reader. A scan holds one long-lived ReadStream open per holder and
+// keeps that server's pipe full by granting packet credit as it
+// consumes chunks, instead of asking for the log a piece at a time.
+const (
+	// streamWindow is how many chunks a stream's server may run ahead of
+	// what the reader has taken off the session sink. It bounds the
+	// reader's memory (the sink holds the window, nothing more) and, at
+	// ~1.3 KB a chunk, keeps a 10 ms link busy at ~17 MB/s.
+	streamWindow = 128
+	// streamInitialCredit is the burst a server may send before the
+	// first grant: half a window, ~150 KB of socket-buffer accounting,
+	// inside the kernel's default UDP receive buffer (~208 KB) even if
+	// the receive pump has not been scheduled yet. Grants then widen the
+	// credit to the full window, clocked by consumption.
+	streamInitialCredit = streamWindow / 2
+	// streamGrantStep is how far the credit may lag behind window before
+	// another grant is sent: four grants per window, so the credit
+	// packets are ~3% of the data packets and never crowd the server's
+	// 64-slot session queue.
+	streamGrantStep = streamWindow / 4
+	// markerBatch bounds how many locally synthesized not-present
+	// markers (truncated or never-written positions) one scan step
+	// materializes.
+	markerBatch = 128
+)
 
-	mu  sync.Mutex
-	pos record.LSN // LSN the next Next() must return
-	// carve is the first LSN not yet covered by a queued task: the next
-	// task starts here. 0 means a backward scan has carved past LSN 1.
-	carve   record.LSN
-	buf     []record.Record // records of the task being consumed
-	bufIdx  int
-	tasks   []*fetchTask // queued tasks, scan order
-	taskSeq int          // rotates the first holder tried per task
-	closed  bool
-	opened  time.Time
+// errScanStopped ends a scan whose consumer went away (cursor closed
+// or repositioned).
+var errScanStopped = errors.New("core: scan stopped")
+
+// scanStep is what a scan does next at one position, decided under
+// l.mu from the log's state at that moment.
+type scanStep struct {
+	end     bool            // nothing (more) to scan
+	recs    []record.Record // served locally: emit as they are
+	to      record.LSN      // remote: stream pos..to from servers
+	servers []string
+	epochs  []record.Interval // winning epoch of every LSN in pos..to, ascending
+	err     error
 }
 
-// fetchTask is one unit of the read-ahead window. from..to are in scan
-// order (to < from on a backward scan). Local tasks carry their records
-// at carve time and have a nil done channel; remote tasks are filled in
-// by runFetch and signal done.
-type fetchTask struct {
-	from, to record.LSN
-	dir      Direction
-	local    bool
-	servers  []string
-	epoch    record.Epoch
-	rot      int
-	done     chan struct{}
-	recs     []record.Record
-	err      error
-}
-
-// step returns the scan-order successor of lsn; 0 when a backward scan
-// steps below LSN 1.
-func (c *streamCursor) step(lsn record.LSN) record.LSN {
-	if c.dir == Forward {
+// stepLSN returns the scan-order successor of lsn; 0 when a backward
+// scan steps below LSN 1.
+func stepLSN(lsn record.LSN, dir Direction) record.LSN {
+	if dir == Forward {
 		return lsn + 1
 	}
-	if lsn <= 1 {
-		return 0
-	}
-	return lsn - 1
+	return lsn - 1 // LSN 1 steps to 0: the scan is over
 }
 
-// refillLocked tops the task window up to Config.ReadAhead, carving
-// tasks forward from c.carve. Called with c.mu held; takes l.mu inside
-// (lock order: cursor.mu before l.mu, never the reverse).
-func (c *streamCursor) refillLocked() {
-	for len(c.tasks) < c.l.cfg.ReadAhead {
-		t := c.carveTask(c.carve)
-		if t == nil {
-			break // end of scan, or log end on a forward scan (re-checked next refill)
-		}
-		c.tasks = append(c.tasks, t)
-		c.carve = c.step(t.to)
-		if t.local {
-			continue
-		}
-		t.done = make(chan struct{})
-		t.rot = c.taskSeq
-		c.taskSeq++
-		go c.l.runFetch(t)
-	}
-	c.l.m.windowOccupancy.Observe(uint64(len(c.tasks)))
-}
-
-// carveTask classifies the scan position start and cuts one task
-// there, consulting the log's state under l.mu. It returns nil when
-// nothing can be carved now: the scan is exhausted, or a forward scan
-// has caught up with the end of the log (new writes may extend it
-// before the next refill).
-func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
-	l := c.l
+// planScan classifies the scan position pos and says how to cover the
+// stretch that starts there: unacknowledged records come from the
+// client's own buffer, truncated or uncovered positions are
+// materialized as not-present markers, and everything else is streamed
+// from the servers holding it — one stream for the whole contiguous
+// stretch a holder set covers, however many epoch segments (earlier
+// restarts' re-copied tails and marker runs) it crosses. bound, when
+// non-zero, is the last LSN wanted; a forward scan without one runs to
+// the end of the log as it stands when the scan gets there.
+func (l *ReplicatedLog) planScan(pos, bound record.LSN, dir Direction) scanStep {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return &fetchTask{from: start, to: start, dir: c.dir, local: true, err: ErrClosed}
+		return scanStep{err: ErrClosed}
 	}
-	if start == 0 || (c.dir == Forward && start >= l.nextLSN) {
-		return nil
+	forward := dir == Forward
+	last := record.LSN(1) // last LSN the scan may reach
+	if forward {
+		last = l.nextLSN - 1
 	}
-	span := l.cfg.ScanSpan
+	if bound != 0 && ((forward && bound < last) || (!forward && bound > last)) {
+		last = bound
+	}
+	if pos == 0 || (forward && pos > last) || (!forward && pos < last) {
+		return scanStep{end: true}
+	}
 	var outLow, outHigh record.LSN
 	if len(l.outstanding) > 0 {
 		outLow = l.outstanding[0].LSN
@@ -109,73 +97,315 @@ func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
 	inOutstanding := func(lsn record.LSN) bool {
 		return outLow != 0 && outLow <= lsn && lsn <= outHigh
 	}
-	if inOutstanding(start) {
-		// Unacknowledged records are served from the client's own
-		// buffer; outstanding holds consecutive LSNs starting at outLow.
-		t := &fetchTask{from: start, to: start, dir: c.dir, local: true}
-		for lsn, n := start, 0; n < span && inOutstanding(lsn); n++ {
-			t.recs = append(t.recs, l.outstanding[int(lsn-outLow)].Clone())
-			t.to = lsn
-			lsn = c.step(lsn)
-			if lsn == 0 {
+	remote := func(lsn record.LSN) bool {
+		return lsn >= l.truncated && l.holders.covered(lsn)
+	}
+	switch {
+	case inOutstanding(pos):
+		// outstanding holds consecutive LSNs starting at outLow.
+		var recs []record.Record
+		for lsn := pos; inOutstanding(lsn); lsn = stepLSN(lsn, dir) {
+			recs = append(recs, l.outstanding[int(lsn-outLow)].Clone())
+			if lsn == last {
 				break
 			}
 		}
-		return t
-	}
-	if start >= l.truncated && l.holders.covered(start) {
-		// Remote range: clip to the holder segment, the span, the log
-		// end, and (backward) the truncation point.
-		iv, servers, _ := l.holders.segment(start)
-		t := &fetchTask{from: start, to: start, dir: c.dir, servers: servers, epoch: iv.Epoch}
-		if c.dir == Forward {
-			to := start + record.LSN(span) - 1
-			if to > iv.High {
-				to = iv.High
-			}
-			if to >= l.nextLSN {
-				to = l.nextLSN - 1
-			}
-			if outLow != 0 && outLow <= to {
-				to = outLow - 1
-			}
-			t.to = to
-		} else {
-			to := record.LSN(1)
-			if start > record.LSN(span) {
-				to = start - record.LSN(span) + 1
-			}
-			if to < iv.Low {
-				to = iv.Low
-			}
-			if to < l.truncated {
-				to = l.truncated
-			}
-			t.to = to
+		return scanStep{recs: recs}
+	case remote(pos):
+		// Clip the holder set's stretch to the scan's end, the
+		// unacknowledged tail (forward) and the truncation point
+		// (backward).
+		if forward && outLow != 0 && outLow <= last {
+			last = outLow - 1
 		}
-		return t
-	}
-	// Truncated or uncovered positions: materialize not-present markers
-	// locally, the same answer ReadRecord gives for them.
-	t := &fetchTask{from: start, to: start, dir: c.dir, local: true}
-	for lsn, n := start, 0; n < span && lsn != 0; n++ {
-		if c.dir == Forward && lsn >= l.nextLSN {
-			break
+		if !forward && last < l.truncated {
+			last = l.truncated
 		}
-		if inOutstanding(lsn) || (lsn >= l.truncated && l.holders.covered(lsn)) {
-			break
+		epochs, servers := l.holders.stretch(pos, last)
+		to := epochs[len(epochs)-1].High
+		if !forward {
+			to = epochs[0].Low
 		}
-		t.recs = append(t.recs, record.Record{LSN: lsn, Present: false})
-		t.to = lsn
-		lsn = c.step(lsn)
+		return scanStep{to: to, servers: servers, epochs: epochs}
+	default:
+		// The same answer ReadRecord gives for these positions.
+		var recs []record.Record
+		for lsn := pos; lsn != 0 && len(recs) < markerBatch && !inOutstanding(lsn) && !remote(lsn); lsn = stepLSN(lsn, dir) {
+			recs = append(recs, record.Record{LSN: lsn, Present: false})
+			if lsn == last {
+				break
+			}
+		}
+		return scanStep{recs: recs}
 	}
-	return t
 }
 
-// runFetch executes one remote task on its own goroutine.
-func (l *ReplicatedLog) runFetch(t *fetchTask) {
-	t.recs, t.err = l.fetchRange(t.from, t.to, t.dir, t.servers, t.epoch, t.rot)
-	close(t.done)
+// scan walks the log from pos in dir, handing the records to emit in
+// scan order, batch by batch, until it reaches bound (see planScan),
+// emit returns false, stop is closed, or it fails. It is the one read
+// path: a cursor runs it on a goroutine behind a channel, ReadRecord
+// runs it for a single LSN, and initialization runs it over the
+// doubtful tail. window is the packet credit extended to each stream.
+//
+// A remote stretch is streamed from one holder at a time; when a stream
+// ends short — timeout, sequence break, a stale lower-epoch copy, the
+// server running off what it holds — the scan resumes from the last
+// in-order record on the next holder. Results never populate the read
+// cache (a scan would evict the point-read working set).
+func (l *ReplicatedLog) scan(pos, bound record.LSN, dir Direction, window int, stop <-chan struct{}, emit func([]record.Record) bool) error {
+	holder, fruitless := 0, 0
+	var lastErr error
+	for {
+		select {
+		case <-stop:
+			return errScanStopped
+		default:
+		}
+		st := l.planScan(pos, bound, dir)
+		switch {
+		case st.err != nil:
+			return st.err
+		case st.end:
+			return nil
+		case st.recs != nil:
+			if !emit(st.recs) {
+				return errScanStopped
+			}
+			pos = stepLSN(st.recs[len(st.recs)-1].LSN, dir)
+			continue
+		}
+		addr := st.servers[holder%len(st.servers)]
+		next, err := l.streamFrom(addr, pos, st, dir, window, stop, emit)
+		if errors.Is(err, errScanStopped) {
+			return err
+		}
+		progressed := next != pos
+		pos = next
+		if pos == stepLSN(st.to, dir) {
+			continue // the stretch is done; the holder that served it stays first choice
+		}
+		// Every fruitless attempt counts; any progress resets the count,
+		// so the scan gives up on a position after (Retries+1) rounds of
+		// its holders. (Re-planning between attempts is what lets a
+		// position truncated mid-scan turn into a marker.)
+		l.m.streamRestarts.Add(1)
+		holder++
+		if progressed {
+			fruitless = 0
+			continue
+		}
+		if err != nil {
+			lastErr = err
+		}
+		if fruitless++; fruitless > (l.cfg.Retries+1)*len(st.servers) {
+			return fmt.Errorf("%w: LSNs %d..%d on %v: %v", ErrUnavailable, pos, st.to, st.servers, lastErr)
+		}
+	}
+}
+
+// readRange collects the records from..to (scan order) through scan.
+// Callers bound the range: one record, or the δ doubtful records.
+func (l *ReplicatedLog) readRange(from, to record.LSN, dir Direction, window int) ([]record.Record, error) {
+	var out []record.Record
+	err := l.scan(from, to, dir, window, nil, func(recs []record.Record) bool {
+		out = append(out, recs...)
+		return true
+	})
+	return out, err
+}
+
+// epochAt returns the winning epoch of lsn from a stretch's ascending
+// epoch segments.
+func epochAt(epochs []record.Interval, lsn record.LSN) record.Epoch {
+	i := sort.Search(len(epochs), func(i int) bool { return epochs[i].High >= lsn })
+	if i < len(epochs) && epochs[i].Low <= lsn {
+		return epochs[i].Epoch
+	}
+	return 0
+}
+
+// streamFrom opens one ReadStream against addr for from..st.to and
+// feeds its chunks to emit, validating every record's LSN sequence and
+// — against the stretch's epoch map — its epoch, and topping the
+// server's credit up as chunks are taken off the sink. It returns the
+// scan position after the last record accepted. A stream that stops
+// short of st.to returns a nil error when the server ended it (it ran
+// off its holdings, or sent a sequence break or a stale copy) and the
+// transport-level cause otherwise; either way the caller resumes from
+// the returned position elsewhere.
+func (l *ReplicatedLog) streamFrom(addr string, from record.LSN, st scanStep, dir Direction, window int, stop <-chan struct{}, emit func([]record.Record) bool) (record.LSN, error) {
+	sess, err := l.dial(addr)
+	if err != nil {
+		return from, err
+	}
+	granted := uint32(min(window, streamInitialCredit))
+	req := wire.ReadStreamPayload{From: from, To: st.to, Dir: wire.StreamForward, Credit: uint8(granted)}
+	if dir == Backward {
+		req.Dir = wire.StreamBackward
+	}
+	seq, ch, err := sess.openStream(&req, window)
+	if err != nil {
+		return from, err
+	}
+	defer sess.closeStream(seq)
+	l.m.cursorStreams.Add(1)
+
+	next := from
+	var taken uint32 // chunks accepted in order
+	// The transport reorders datagrams, and chunks sent back-to-back
+	// reorder routinely — that must not look like loss. Early chunks
+	// wait here (never more than a window of them) until their
+	// predecessors arrive; only the inter-chunk timeout (true loss)
+	// ends the stream.
+	var early map[uint32]*wire.StreamChunk
+	timer := time.NewTimer(l.cfg.CallTimeout)
+	defer timer.Stop()
+	for {
+		var pkt *wire.Packet
+		select {
+		case p, ok := <-ch:
+			if !ok {
+				return next, ErrSessionClosed
+			}
+			pkt = p
+		case <-timer.C:
+			return next, fmt.Errorf("%w: read stream from %s at LSN %d", ErrCallTimeout, addr, next)
+		case <-stop:
+			return next, errScanStopped
+		}
+		if pkt.Type == wire.TErrResp {
+			ep, derr := wire.DecodeErrPayload(pkt.Payload)
+			if derr != nil {
+				return next, derr
+			}
+			return next, &RemoteError{Code: ep.Code, Message: ep.Message}
+		}
+		if pkt.Type != wire.TReadStreamData {
+			continue
+		}
+		chunk, derr := wire.DecodeStreamChunk(pkt.Payload)
+		if derr != nil {
+			return next, nil // corrupt chunk: resume elsewhere
+		}
+		if chunk.Index < taken {
+			continue // duplicate delivery
+		}
+		if chunk.Index > taken {
+			if early == nil {
+				early = make(map[uint32]*wire.StreamChunk)
+			}
+			early[chunk.Index] = chunk
+			continue
+		}
+		for ok := true; ok; chunk, ok = early[taken] {
+			delete(early, taken)
+			taken++
+			faultpoint.Hit(FPCursorMidStream)
+			valid := 0
+			for _, rec := range chunk.Records {
+				if rec.LSN != next || rec.Epoch < epochAt(st.epochs, rec.LSN) {
+					break
+				}
+				valid++
+				next = stepLSN(next, dir)
+			}
+			if valid > 0 && !emit(chunk.Records[:valid]) {
+				return next, errScanStopped
+			}
+			if valid < len(chunk.Records) || chunk.Done {
+				// A sequence break or a stale lower-epoch copy keeps the
+				// valid prefix and sends the caller to another holder;
+				// done is the server's last word either way.
+				return next, nil
+			}
+		}
+		// Keep the pipe full: once the credit has fallen a step behind
+		// the window, grant up to the window again. Only after a chunk
+		// has arrived — the request is then known to have reached the
+		// server, so a grant cannot overtake it.
+		if limit := taken + uint32(window); limit >= granted+streamGrantStep {
+			granted = limit
+			credit := wire.ReadCreditPayload{Stream: seq, Limit: limit}
+			sess.peer.Send(wire.TReadCredit, 0, credit.Encode())
+		}
+		if !timer.Stop() {
+			<-timer.C
+		}
+		timer.Reset(l.cfg.CallTimeout)
+	}
+}
+
+// streamCursor is the Cursor implementation: a scan running ahead of
+// the consumer on its own goroutine. The channel between them holds one
+// grant step of decoded chunks, so the reader stays a step ahead of a
+// slow consumer and no further: with the channel full the reader stops
+// taking chunks off the session sink, stops granting credit, and the
+// server stops sending — a cursor's memory is bounded by the window
+// however long the log.
+type streamCursor struct {
+	l   *ReplicatedLog
+	dir Direction
+
+	mu     sync.Mutex
+	pos    record.LSN      // LSN the next Next() must return
+	buf    []record.Record // batch being consumed
+	rd     *scanReader     // nil between a finished scan and the next Next
+	closed bool
+	opened time.Time
+}
+
+// scanReader is one background scan feeding a cursor.
+type scanReader struct {
+	out  chan scanBatch
+	stop chan struct{} // closed by the cursor to abandon the scan
+	done chan struct{} // closed when the goroutine has exited
+}
+
+// scanBatch is one delivery from the reader: records, or the scan's
+// outcome (nil error: it reached the end of the log).
+type scanBatch struct {
+	recs []record.Record
+	end  bool
+	err  error
+}
+
+// startLocked launches the background scan from c.pos. Caller holds
+// c.mu and has stopped any previous reader.
+func (c *streamCursor) startLocked() {
+	rd := &scanReader{
+		out:  make(chan scanBatch, streamGrantStep),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	c.rd = rd
+	go func(pos record.LSN) {
+		defer close(rd.done)
+		err := c.l.scan(pos, 0, c.dir, streamWindow, rd.stop, func(recs []record.Record) bool {
+			select {
+			case rd.out <- scanBatch{recs: recs}:
+				return true
+			case <-rd.stop:
+				return false
+			}
+		})
+		select {
+		case rd.out <- scanBatch{end: true, err: err}:
+		case <-rd.stop:
+		}
+	}(c.pos)
+}
+
+// stopLocked abandons the background scan, if any, and waits for its
+// goroutine: every wait it makes also watches stop, except a handshake
+// with a server it has no session with, which is bounded by the call
+// timeout. Caller holds c.mu.
+func (c *streamCursor) stopLocked() {
+	if c.rd == nil {
+		return
+	}
+	close(c.rd.stop)
+	<-c.rd.done
+	c.rd = nil
 }
 
 func (c *streamCursor) Next() (record.Record, error) {
@@ -185,47 +415,41 @@ func (c *streamCursor) Next() (record.Record, error) {
 		if c.closed {
 			return record.Record{}, ErrClosed
 		}
-		if c.bufIdx < len(c.buf) {
-			rec := c.buf[c.bufIdx]
-			c.bufIdx++
+		if len(c.buf) > 0 {
+			rec := c.buf[0]
+			c.buf = c.buf[1:]
 			if rec.LSN != c.pos {
 				return record.Record{}, fmt.Errorf("core: cursor out of sequence: got LSN %d, want %d", rec.LSN, c.pos)
 			}
-			c.pos = c.step(c.pos)
-			c.refillLocked()
+			c.pos = stepLSN(c.pos, c.dir)
 			c.l.m.reads.Add(1)
 			return rec, nil
 		}
-		if len(c.tasks) == 0 {
-			c.refillLocked()
-			if len(c.tasks) == 0 {
-				c.l.mu.Lock()
-				end := c.l.nextLSN - 1
-				c.l.mu.Unlock()
-				return record.Record{}, fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, c.pos, end)
-			}
+		if c.rd == nil {
+			// The last scan ran off the end of the log; writes since
+			// may have extended it.
+			c.startLocked()
+		}
+		var b scanBatch
+		select {
+		case b = <-c.rd.out:
+			c.l.m.prefetchHits.Add(1)
+		default:
+			// The consumer outran the reader: block. Cursors are
+			// single-consumer, so holding c.mu here excludes no one.
+			c.l.m.prefetchWaits.Add(1)
+			b = <-c.rd.out
+		}
+		c.l.m.windowOccupancy.Observe(uint64(len(c.rd.out)))
+		if !b.end {
+			c.buf = b.recs
 			continue
 		}
-		t := c.tasks[0]
-		c.tasks = c.tasks[1:]
-		if !t.local {
-			select {
-			case <-t.done:
-				c.l.m.prefetchHits.Add(1)
-			default:
-				// The consumer outran the window: block, off the cursor
-				// lock. Cursors are single-consumer, so nothing else
-				// mutates cursor state while we wait.
-				c.l.m.prefetchWaits.Add(1)
-				c.mu.Unlock()
-				<-t.done
-				c.mu.Lock()
-			}
+		c.stopLocked()
+		if b.err != nil {
+			return record.Record{}, b.err
 		}
-		if t.err != nil {
-			return record.Record{}, t.err
-		}
-		c.buf, c.bufIdx = t.recs, 0
+		return record.Record{}, fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, c.pos, c.l.EndOfLog())
 	}
 }
 
@@ -237,22 +461,17 @@ func (c *streamCursor) Seek(lsn record.LSN) error {
 	}
 	l := c.l
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed, end := l.closed, l.nextLSN-1
+	l.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	if lsn == 0 || lsn >= l.nextLSN {
-		end := l.nextLSN - 1
-		l.mu.Unlock()
+	if lsn == 0 || lsn > end {
 		return fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, lsn, end)
 	}
-	l.mu.Unlock()
-	// In-flight remote fetches for the old position finish on their own
-	// goroutines and are discarded with the task window.
-	c.pos, c.carve = lsn, lsn
-	c.buf, c.bufIdx = nil, 0
-	c.tasks = nil
-	c.refillLocked()
+	c.stopLocked()
+	c.pos, c.buf = lsn, nil
+	c.startLocked()
 	return nil
 }
 
@@ -263,190 +482,8 @@ func (c *streamCursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.buf, c.tasks = nil, nil
+	c.stopLocked()
+	c.buf = nil
 	c.l.m.scanLatency.Observe(uint64(time.Since(c.opened).Nanoseconds()))
 	return nil
-}
-
-// fetchRange reads the consecutive LSNs from..to (scan order given by
-// dir) from the holder set, streaming from one server at a time and
-// failing over to the next on timeout, sequence break, or stale-epoch
-// data — resuming mid-range from wherever the last stream stopped. rot
-// rotates which holder is tried first so concurrent tasks of one
-// cursor fan out across the set. Results never populate the read cache
-// (a scan would evict the point-read working set).
-func (l *ReplicatedLog) fetchRange(from, to record.LSN, dir Direction, servers []string, wantEpoch record.Epoch, rot int) ([]record.Record, error) {
-	forward := dir == Forward
-	total := int(to - from + 1)
-	if !forward {
-		total = int(from - to + 1)
-	}
-	out := make([]record.Record, 0, total)
-	pos := from
-	srvIdx, zeroRuns := 0, 0
-	// Each failed attempt with no progress counts toward zeroRuns; any
-	// progress resets it, so the loop terminates after at most
-	// (Retries+1)*len(servers) fruitless attempts per position.
-	for len(out) < total {
-		if len(servers) == 0 {
-			return nil, fmt.Errorf("%w: LSNs %d..%d", ErrUnavailable, pos, to)
-		}
-		addr := servers[(rot+srvIdx)%len(servers)]
-		recs, complete, err := l.streamRange(addr, pos, to, dir, wantEpoch)
-		out = append(out, recs...)
-		if len(recs) > 0 {
-			zeroRuns = 0
-			if forward {
-				pos += record.LSN(len(recs))
-			} else {
-				pos -= record.LSN(len(recs))
-			}
-		}
-		if err == nil && !complete && len(recs) > 0 {
-			// The server exhausted its packet budget mid-range; continue
-			// the same server with a fresh request. Not a restart.
-			continue
-		}
-		if complete {
-			break
-		}
-		// Timeout, sequence break, stale epoch, or an empty stream:
-		// restart against the next holder.
-		l.m.streamRestarts.Add(1)
-		srvIdx++
-		if len(recs) == 0 {
-			zeroRuns++
-		}
-		if zeroRuns > (l.cfg.Retries+1)*len(servers) {
-			// Every holder failed repeatedly on pos. One legitimate way:
-			// the span was truncated after the task was carved. Serve
-			// what truncation dictates and keep going past it.
-			l.mu.Lock()
-			trunc := l.truncated
-			l.mu.Unlock()
-			progressed := false
-			for len(out) < total && pos < trunc && pos >= 1 {
-				out = append(out, record.Record{LSN: pos, Present: false})
-				if forward {
-					pos++
-				} else {
-					pos--
-				}
-				progressed = true
-			}
-			if progressed {
-				zeroRuns = 0
-				continue
-			}
-			return nil, fmt.Errorf("%w: LSNs %d..%d on %v", ErrUnavailable, pos, to, servers)
-		}
-	}
-	return out, nil
-}
-
-// streamRange opens one ReadStream against addr and consumes its reply
-// chunks, validating LSN sequence and epoch per record. It returns the
-// prefix of valid records received, complete == true when the server's
-// final chunk landed exactly at to, and a non-nil error only for
-// transport-level failures (timeout, dead session, server error
-// reply). complete == false with err == nil means the stream stopped
-// early — packet budget exhausted (caller continues same server) or a
-// protocol anomaly (caller fails over).
-func (l *ReplicatedLog) streamRange(addr string, from, to record.LSN, dir Direction, wantEpoch record.Epoch) ([]record.Record, bool, error) {
-	forward := dir == Forward
-	sess, err := l.dial(addr)
-	if err != nil {
-		return nil, false, err
-	}
-	req := wire.ReadStreamPayload{From: from, To: to, MaxPackets: uint8(l.cfg.StreamPackets)}
-	if forward {
-		req.Dir = wire.StreamForward
-	} else {
-		req.Dir = wire.StreamBackward
-	}
-	seq, ch, err := sess.openStream(&req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer sess.closeStream(seq)
-	l.m.cursorStreams.Add(1)
-
-	var out []record.Record
-	next := from
-	var nextIdx uint16
-	// The transport reorders datagrams, and a multi-packet reply sent
-	// back-to-back reorders routinely — that must not look like loss.
-	// Out-of-order chunks wait here until their predecessors arrive;
-	// only the inter-chunk timeout (true loss) triggers failover.
-	reordered := make(map[uint16]*wire.StreamChunk)
-	timer := time.NewTimer(l.callTimeoutFor())
-	defer timer.Stop()
-	for {
-		select {
-		case pkt, ok := <-ch:
-			if !ok {
-				return out, false, ErrSessionClosed
-			}
-			if pkt.Type == wire.TErrResp {
-				ep, derr := wire.DecodeErrPayload(pkt.Payload)
-				if derr != nil {
-					return out, false, derr
-				}
-				return out, false, &RemoteError{Code: ep.Code, Message: ep.Message}
-			}
-			if pkt.Type != wire.TReadStreamData {
-				continue
-			}
-			chunk, derr := wire.DecodeStreamChunk(pkt.Payload)
-			if derr != nil {
-				return out, false, nil // corrupt chunk: fail over
-			}
-			if chunk.Index < nextIdx {
-				continue // duplicate delivery
-			}
-			if chunk.Index > nextIdx {
-				reordered[chunk.Index] = chunk // early arrival; keep waiting
-				continue
-			}
-			for {
-				nextIdx++
-				faultpoint.Hit(FPCursorMidStream)
-				for _, rec := range chunk.Records {
-					if rec.LSN != next || rec.Epoch < wantEpoch {
-						// Sequence break or stale lower-epoch copy: keep the
-						// valid prefix, let the caller try another holder.
-						return out, false, nil
-					}
-					out = append(out, rec)
-					if forward {
-						next++
-					} else {
-						next--
-					}
-				}
-				if chunk.Done {
-					complete := (forward && next == to+1) || (!forward && next == to-1)
-					return out, complete, nil
-				}
-				c, ok := reordered[nextIdx]
-				if !ok {
-					break
-				}
-				delete(reordered, nextIdx)
-				chunk = c
-			}
-			// Re-arm the inter-chunk timeout.
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timer.Reset(l.callTimeoutFor())
-		case <-timer.C:
-			return out, false, fmt.Errorf("%w: read stream from %s at LSN %d", ErrCallTimeout, addr, next)
-		}
-	}
-}
-
-// callTimeoutFor returns the per-chunk stream timeout.
-func (l *ReplicatedLog) callTimeoutFor() time.Duration {
-	return l.cfg.CallTimeout
 }

@@ -104,7 +104,7 @@ type session struct {
 	// streams are multi-shot sinks for TReadStreamData chunks, keyed by
 	// the request Seq like pending. Unlike pending entries they survive
 	// multiple deliveries; deliver sends non-blocking under mu (the
-	// channel is sized for the largest reply a request can provoke, so
+	// channel is sized for the credit the stream's reader extends, so
 	// drops only happen on protocol violations) and close/Rst close them
 	// under the same mu, so a send can never race a close.
 	streams map[uint64]chan *wire.Packet
@@ -131,18 +131,50 @@ func newSession(ep transport.Endpoint, addr string, clientID record.ClientID, co
 	return s
 }
 
+// expect reserves the sequence number of the next request and
+// registers ch to receive what answers it — one reply (a call, the
+// handshake) or, with stream set, every chunk of a streaming read —
+// before the request is sent: over a fast link the reply can reach the
+// receive pump before Send has even returned, and an unregistered reply
+// is dropped and costs a whole call timeout.
+func (s *session) expect(ch chan *wire.Packet, stream bool) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return 0, ErrSessionClosed
+	case s.reset:
+		return 0, ErrServerReset
+	}
+	seq := s.peer.Reserve()
+	if stream {
+		s.streams[seq] = ch
+	} else {
+		s.pending[seq] = ch
+	}
+	return seq, nil
+}
+
+// forget withdraws a registration whose reply is no longer awaited.
+func (s *session) forget(seq uint64) {
+	s.mu.Lock()
+	delete(s.pending, seq)
+	s.mu.Unlock()
+}
+
 // handshake performs the client side of the three-way handshake: send
 // Syn, await SynAck (via the receive pump), send Ack.
 func (s *session) handshake() error {
 	for attempt := 0; attempt <= s.retries; attempt++ {
 		ch := make(chan *wire.Packet, 1)
-		seq, err := s.peer.Send(wire.TSyn, 0, nil)
+		seq, err := s.expect(ch, false)
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.pending[seq] = ch
-		s.mu.Unlock()
+		if err := s.peer.SendAs(seq, wire.TSyn, nil); err != nil {
+			s.forget(seq)
+			return err
+		}
 
 		timer := time.NewTimer(s.callTimeout)
 		select {
@@ -154,9 +186,7 @@ func (s *session) handshake() error {
 				return nil
 			}
 		case <-timer.C:
-			s.mu.Lock()
-			delete(s.pending, seq)
-			s.mu.Unlock()
+			s.forget(seq)
 			if s.onRetry != nil {
 				s.onRetry()
 			}
@@ -284,54 +314,58 @@ func (s *session) deliver(pkt *wire.Packet) {
 // call performs one synchronous RPC with retries. Operations are
 // idempotent, so retrying after a lost request or reply is safe.
 func (s *session) call(t wire.Type, payload []byte) (*wire.Packet, error) {
-	return s.callWith(t, payload, 0, nil)
+	c := rpc{t: t, payload: payload}
+	if err := s.start(&c); err != nil {
+		return nil, err
+	}
+	return s.finish(&c)
 }
 
-// callRecords performs a synchronous RPC whose request embeds grouped
-// records (epoch + record list encoded directly into the frame). Going
-// through the peer's record-aware framer lets the envelope version
-// reflect the records' needs: a dep-vectored recovery copy travels
-// under the bumped wire version instead of hiding inside a base-version
-// frame an old server would misjudge as safe.
-func (s *session) callRecords(t wire.Type, epoch record.Epoch, recs []record.Record) (*wire.Packet, error) {
-	return s.callWith(t, nil, epoch, recs)
+// rpc is one synchronous call in progress: what to (re)send, and where
+// the current attempt's reply will arrive. A request embedding grouped
+// records (recs non-nil: epoch + record list) goes through the peer's
+// record-aware framer, which lets the envelope version reflect the
+// records' needs: a dep-vectored recovery copy travels under the bumped
+// wire version instead of hiding inside a base-version frame an old
+// server would misjudge as safe.
+type rpc struct {
+	t       wire.Type
+	payload []byte
+	epoch   record.Epoch
+	recs    []record.Record
+
+	seq uint64
+	ch  chan *wire.Packet
 }
 
-// callWith sends through the record-aware framer when recs is non-nil
-// and the plain payload framer otherwise. The two sends are spelled as
-// a branch rather than a captured closure: call sits on the hot write
-// path and must not allocate.
-func (s *session) callWith(t wire.Type, payload []byte, epoch record.Epoch, recs []record.Record) (*wire.Packet, error) {
-	for attempt := 0; attempt <= s.retries; attempt++ {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrSessionClosed
-		}
-		if s.reset {
-			s.mu.Unlock()
-			return nil, ErrServerReset
-		}
-		s.mu.Unlock()
+// start sends one attempt of the call without waiting for the reply;
+// callers with several independent calls to one server start them all
+// and then finish each, paying one round trip for the batch.
+func (s *session) start(c *rpc) error {
+	c.ch = make(chan *wire.Packet, 1)
+	seq, err := s.expect(c.ch, false)
+	if err != nil {
+		return err
+	}
+	c.seq = seq
+	if c.recs != nil {
+		err = s.peer.SendRecordsAs(seq, c.t, c.epoch, c.recs)
+	} else {
+		err = s.peer.SendAs(seq, c.t, c.payload)
+	}
+	if err != nil {
+		s.forget(seq)
+	}
+	return err
+}
 
-		var seq uint64
-		var err error
-		if recs != nil {
-			seq, err = s.peer.SendRecords(t, 0, epoch, recs)
-		} else {
-			seq, err = s.peer.Send(t, 0, payload)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ch := make(chan *wire.Packet, 1)
-		s.mu.Lock()
-		s.pending[seq] = ch
-		s.mu.Unlock()
-
+// finish awaits the reply to a started call, re-sending it on timeout
+// up to the session's retry budget.
+func (s *session) finish(c *rpc) (*wire.Packet, error) {
+	for attempt := 0; ; attempt++ {
 		timer := time.NewTimer(s.callTimeout)
 		select {
-		case pkt, ok := <-ch:
+		case pkt, ok := <-c.ch:
 			timer.Stop()
 			if !ok {
 				// Channel closed by Rst or session shutdown.
@@ -352,50 +386,40 @@ func (s *session) callWith(t wire.Type, payload []byte, epoch record.Epoch, recs
 			}
 			return pkt, nil
 		case <-timer.C:
-			s.mu.Lock()
-			delete(s.pending, seq)
-			s.mu.Unlock()
-			// Lost request or reply: retry (operations are idempotent);
-			// a dual-network endpoint fails over first.
-			if s.onRetry != nil {
-				s.onRetry()
-			}
+			s.forget(c.seq)
+		}
+		if attempt == s.retries {
+			return nil, fmt.Errorf("%w: %s to %s", ErrCallTimeout, c.t, s.addr)
+		}
+		// Lost request or reply: retry (operations are idempotent); a
+		// dual-network endpoint fails over first.
+		if s.onRetry != nil {
+			s.onRetry()
+		}
+		if err := s.start(c); err != nil {
+			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("%w: %s to %s", ErrCallTimeout, t, s.addr)
 }
 
-// openStream sends a ReadStream request and registers a multi-shot
-// sink for its reply chunks. The caller consumes packets from the
-// channel (nil delivery never happens; a closed channel means the
-// session died) and must closeStream when finished.
-func (s *session) openStream(req *wire.ReadStreamPayload) (uint64, chan *wire.Packet, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, nil, ErrSessionClosed
-	}
-	if s.reset {
-		s.mu.Unlock()
-		return 0, nil, ErrServerReset
-	}
-	s.mu.Unlock()
-
-	seq, err := s.peer.Send(wire.TReadStreamReq, 0, req.Encode())
+// openStream sends a ReadStream request and returns the multi-shot
+// sink its reply chunks arrive on, registered before the request
+// leaves. window is the most chunks the caller will ever let the server
+// run ahead of what it has taken from the sink (its credit discipline);
+// the sink holds that many plus one error reply, so the non-blocking
+// deliver never drops a legitimate chunk. The caller consumes packets
+// from the channel (a closed channel means the session died) and must
+// closeStream when finished.
+func (s *session) openStream(req *wire.ReadStreamPayload, window int) (uint64, chan *wire.Packet, error) {
+	ch := make(chan *wire.Packet, window+1)
+	seq, err := s.expect(ch, true)
 	if err != nil {
 		return 0, nil, err
 	}
-	// Sized for the largest reply one request can provoke (the chunk
-	// budget plus an error reply), so the non-blocking deliver never
-	// drops a legitimate chunk.
-	ch := make(chan *wire.Packet, 64)
-	s.mu.Lock()
-	if s.closed || s.reset {
-		s.mu.Unlock()
-		return 0, nil, ErrSessionClosed
+	if err := s.peer.SendAs(seq, wire.TReadStreamReq, req.Encode()); err != nil {
+		s.closeStream(seq)
+		return 0, nil, err
 	}
-	s.streams[seq] = ch
-	s.mu.Unlock()
 	return seq, ch, nil
 }
 

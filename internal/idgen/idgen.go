@@ -20,6 +20,7 @@ package idgen
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -69,58 +70,107 @@ func (g *Generator) WriteQuorum() int { return (len(g.reps) + 1) / 2 }
 // the client). It fails when a read or write quorum cannot be reached,
 // leaving the generator unchanged or partially advanced; a failed
 // NewID never hands out an identifier.
+//
+// Each phase is one parallel fan-out, so with remote representatives
+// NewID costs two round trips however many representatives there are,
+// and a dead one delays it only when the quorum needs it.
 func (g *Generator) NewID() (uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	// Phase 1: read ceil((R+1)/2) representatives.
+	// Phase 1: read every representative at once and stop at the first
+	// ceil((R+1)/2) answers. A read still in flight after that is
+	// abandoned to finish on its own; it changes nothing.
+	type readResult struct {
+		rep int
+		v   uint64
+		err error
+	}
+	reads := make(chan readResult, len(g.reps)) // one slot per reader: an abandoned one never blocks
+	for i, r := range g.reps {
+		go func(i int, r Representative) {
+			v, err := r.ReadState()
+			reads <- readResult{i, v, err}
+		}(i, r)
+	}
 	var (
 		max      uint64
-		readOK   int
 		firstErr error
+		live     []int // representatives that answered the read
 	)
-	for _, r := range g.reps {
-		v, err := r.ReadState()
-		if err != nil {
+	for answered := 0; answered < len(g.reps) && len(live) < g.ReadQuorum(); answered++ {
+		res := <-reads
+		if res.err != nil {
 			if firstErr == nil {
-				firstErr = err
+				firstErr = res.err
 			}
 			continue
 		}
-		readOK++
-		if v > max {
-			max = v
-		}
-		if readOK == g.ReadQuorum() {
-			break
+		live = append(live, res.rep)
+		if res.v > max {
+			max = res.v
 		}
 	}
-	if readOK < g.ReadQuorum() {
-		return 0, quorumError(ErrReadQuorum, readOK, g.ReadQuorum(), firstErr)
+	if len(live) < g.ReadQuorum() {
+		return 0, quorumError(ErrReadQuorum, len(live), g.ReadQuorum(), firstErr)
 	}
 
 	// Phase 2: write a higher value to ceil(R/2) representatives. Any
-	// overlapping assignment of reads and writes may be used, so we
-	// simply try all representatives until enough writes succeed.
+	// overlapping assignment of reads and writes may be used, so the
+	// first wave goes to representatives that just answered, and only if
+	// one of them fails does a second wave try everyone else. Every write
+	// issued is awaited: a write left in flight could land after a later
+	// NewID's and take a representative back to the older value.
 	next := max + 1
-	writeOK := 0
-	firstErr = nil
-	for _, r := range g.reps {
-		if err := r.WriteState(next); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	sort.Ints(live)
+	first := live[:g.WriteQuorum()]
+	written, firstErr := g.writeAll(first, next)
+	if written < g.WriteQuorum() {
+		tried := make(map[int]bool, len(first))
+		for _, i := range first {
+			tried[i] = true
 		}
-		writeOK++
-		if writeOK == g.WriteQuorum() {
-			break
+		var rest []int
+		for i := range g.reps {
+			if !tried[i] {
+				rest = append(rest, i)
+			}
+		}
+		more, err := g.writeAll(rest, next)
+		written += more
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	if writeOK < g.WriteQuorum() {
-		return 0, quorumError(ErrWriteQuorum, writeOK, g.WriteQuorum(), firstErr)
+	if written < g.WriteQuorum() {
+		return 0, quorumError(ErrWriteQuorum, written, g.WriteQuorum(), firstErr)
 	}
 	return next, nil
+}
+
+// writeAll writes v to the given representatives concurrently, waits
+// for all of them, and returns how many succeeded and the first error.
+func (g *Generator) writeAll(reps []int, v uint64) (int, error) {
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for k, i := range reps {
+		wg.Add(1)
+		go func(k int, r Representative) {
+			defer wg.Done()
+			errs[k] = r.WriteState(v)
+		}(k, g.reps[i])
+	}
+	wg.Wait()
+	ok := 0
+	var firstErr error
+	for _, err := range errs {
+		if err == nil {
+			ok++
+		} else if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return ok, firstErr
 }
 
 // quorumError wraps both the quorum sentinel and the first underlying

@@ -93,7 +93,13 @@ type Engine struct {
 	nextTxn  uint64
 	active   int
 	sinceCkp int
-	stats    Stats
+	// checkpointing holds Begin at the gate from the moment a
+	// checkpoint starts waiting for quiescence until its record is in
+	// the log: a transaction that began in between would log updates
+	// below the checkpoint record that recovery — which trusts the
+	// record as a sharp cut — never replays.
+	checkpointing bool
+	stats         Stats
 
 	locks *lockTable
 	split *splitlog.Cache
@@ -205,6 +211,9 @@ type undoEntry struct {
 func (e *Engine) Begin() *Txn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for e.checkpointing {
+		e.quiesce.Wait()
+	}
 	e.nextTxn++
 	e.active++
 	e.stats.Begins++
@@ -435,7 +444,11 @@ func (e *Engine) FlushKey(key string) error {
 	return nil
 }
 
-// flushAllLocked cleans every dirty page. Caller holds e.mu.
+// flushAllLocked cleans every dirty page under one application of the
+// WAL rule: every stolen page's undo information reaches the log, the
+// log is forced once — through the highest LSN, which covers them all —
+// and then the pages are written. Caller holds e.mu; it is released
+// while the log is forced.
 func (e *Engine) flushAllLocked() error {
 	keys := make([]string, 0, len(e.dirty))
 	for k := range e.dirty {
@@ -443,21 +456,46 @@ func (e *Engine) flushAllLocked() error {
 	}
 	e.mu.Unlock()
 	var err error
-	for _, k := range keys {
-		if ferr := e.FlushKey(k); ferr != nil && err == nil {
-			err = ferr
+	if e.split != nil {
+		for _, k := range keys {
+			if err = e.split.BeforeClean(k); err != nil {
+				break
+			}
 		}
 	}
+	if err == nil {
+		err = e.forceAll()
+	}
 	e.mu.Lock()
-	return err
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if e.dirty[k] {
+			e.stable.Set(k, e.cache[k])
+			delete(e.dirty, k)
+			e.stats.Flushes++
+		}
+	}
+	return nil
 }
 
-// Checkpoint quiesces the engine (waits for active transactions to
-// finish), cleans every dirty page, and writes a checkpoint record so
-// restart recovery can begin there instead of at the head of the log
-// (a Section 5.3 space-management function).
+// Checkpoint quiesces the engine (holds new transactions at Begin and
+// waits for active ones to finish), cleans every dirty page, and writes
+// a checkpoint record so restart recovery can begin there instead of at
+// the head of the log (a Section 5.3 space-management function).
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
+	for e.checkpointing {
+		e.quiesce.Wait()
+	}
+	e.checkpointing = true
+	defer func() {
+		e.mu.Lock()
+		e.checkpointing = false
+		e.quiesce.Broadcast()
+		e.mu.Unlock()
+	}()
 	for e.active > 0 {
 		e.quiesce.Wait()
 	}

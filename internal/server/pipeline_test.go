@@ -272,7 +272,7 @@ func TestIntervalListOversizedList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := maxIntervalsPerPacket()
+	want := wire.MaxIntervalsPerPacket
 	if len(p.Intervals) != want {
 		t.Fatalf("got %d intervals, want the %d most recent", len(p.Intervals), want)
 	}
@@ -284,6 +284,38 @@ func TestIntervalListOversizedList(t *testing.T) {
 	}
 	if len((&wire.IntervalListPayload{Intervals: p.Intervals}).Encode()) > wire.MaxPayload {
 		t.Fatal("trimmed reply still exceeds MaxPayload")
+	}
+
+	// The rest of the list is there for the asking: skipping what the
+	// first page carried yields the page just older than it, and a skip
+	// past the oldest interval yields a short (here empty) page.
+	page := func(skip int) []record.Interval {
+		t.Helper()
+		req := wire.IntervalListReqPayload{Skip: uint32(skip)}
+		seq, err := r.peer.Send(wire.TIntervalListReq, 0, req.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt := r.recv()
+		if pkt.Type != wire.TIntervalListResp || pkt.RespTo != seq {
+			t.Fatalf("resp = %+v", pkt)
+		}
+		p, err := wire.DecodeIntervalListPayload(pkt.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Intervals
+	}
+	second := page(want)
+	if len(second) != want || second[len(second)-1].High+2 != p.Intervals[0].Low {
+		t.Fatalf("second page: %d intervals ending at %v, want %d ending just below %v",
+			len(second), second[len(second)-1], want, p.Intervals[0])
+	}
+	if oldest := page(huge - 3); len(oldest) != 3 || oldest[0].Low != 1 {
+		t.Fatalf("oldest page = %v, want the first 3 intervals", oldest)
+	}
+	if beyond := page(huge + 10); len(beyond) != 0 {
+		t.Fatalf("page beyond the list = %v, want empty", beyond)
 	}
 }
 

@@ -211,6 +211,10 @@ type session struct {
 	// Gap detection (MissingInterval) compares against it. Worker-owned.
 	expectedNext record.LSN
 
+	// reads are the streaming reads parked on the client's credit, keyed
+	// by the Seq of the request that opened each. Worker-owned.
+	reads map[uint64]*readStream
+
 	// Streaming-ack state shared between the worker (producer) and the
 	// session's acker goroutine (consumer). appendedHigh is the highest
 	// LSN appended to the store for this client's stream; stableHigh the
@@ -587,6 +591,8 @@ func (s *Server) process(sess *session, pkt *wire.Packet) {
 		s.handleRead(sess, pkt, false)
 	case wire.TReadStreamReq:
 		s.handleReadStream(sess, pkt)
+	case wire.TReadCredit:
+		s.handleReadCredit(sess, pkt)
 	case wire.TCopyLogReq:
 		s.handleCopyLog(sess, pkt)
 	case wire.TInstallCopiesReq:
@@ -679,8 +685,19 @@ func (s *Server) handleWrite(sess *session, pkt *wire.Packet, force bool) {
 		case errors.Is(err, record.ErrDuplicate), errors.Is(err, record.ErrLSNRegression):
 			// A replay after a server restart: the store already holds
 			// the record; advancing past it is the idempotent outcome.
-		default:
+		case errors.Is(err, record.ErrEpochRegression), errors.Is(err, record.ErrZero):
+			// The record itself breaks the Section 3.1.1 rules (a stale
+			// incarnation's frame, a malformed one): nothing to steer the
+			// sender elsewhere for.
 			sess.peer.SendErr(pkt.Seq, wire.CodeSequencing, err.Error())
+			return
+		default:
+			// The store cannot take the record (a full disk, a failed
+			// device). A streamed write has no call awaiting an error
+			// reply — the client would retransmit into the same wall
+			// forever — so refuse as a draining server does: the client
+			// moves its writes elsewhere, reads keep being served.
+			s.sendRedirect(sess)
 			return
 		}
 		sess.expectedNext = rec.LSN + 1
@@ -873,26 +890,21 @@ func (s *Server) handleNewInterval(sess *session, pkt *wire.Packet) {
 }
 
 func (s *Server) handleIntervalList(sess *session, pkt *wire.Packet) {
+	req, err := wire.DecodeIntervalListReqPayload(pkt.Payload)
+	if err != nil {
+		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, "bad interval list request")
+		return
+	}
 	ivs := s.cfg.Store.Intervals(sess.clientID)
 	// Interval lists are short by design ("an essential assumption of
 	// the replicated logging algorithm is that interval lists are
-	// short"); if a pathological list outgrows a packet, send the most
-	// recent intervals, which are the ones initialization needs. The
-	// encoding is fixed-width (a count header plus IntervalEncodedSize
-	// per entry), so the fit is computed directly rather than by
-	// re-encoding ever-shorter lists.
-	if max := maxIntervalsPerPacket(); len(ivs) > max {
-		ivs = ivs[len(ivs)-max:]
-	}
-	resp := wire.IntervalListPayload{Intervals: ivs}
+	// short"); a list that outgrows a packet anyway is served a page at
+	// a time, the most recent intervals — the ones initialization needs
+	// first — on the first page and older ones as the client skips past
+	// what it has. The encoding is fixed-width, so a page is a slice.
+	end := max(0, len(ivs)-int(req.Skip))
+	resp := wire.IntervalListPayload{Intervals: ivs[max(0, end-wire.MaxIntervalsPerPacket):end]}
 	sess.peer.Send(wire.TIntervalListResp, pkt.Seq, resp.Encode())
-}
-
-// maxIntervalsPerPacket is how many intervals an IntervalListResp
-// payload can carry: the fixed 4-byte count header leaves room for
-// (MaxPayload-4)/IntervalEncodedSize entries.
-func maxIntervalsPerPacket() int {
-	return (wire.MaxPayload - 4) / record.IntervalEncodedSize
 }
 
 // handleRead serves ReadLogForward / ReadLogBackward: starting at the
@@ -905,13 +917,17 @@ func (s *Server) handleRead(sess *session, pkt *wire.Packet, forward bool) {
 		return
 	}
 	faultpoint.Hit(FPReadBeforeStore)
-	first, err := s.cfg.Store.Read(sess.clientID, req.LSN)
+	to := record.LSN(1)
+	if forward {
+		to = ^record.LSN(0)
+	}
+	recs, err := s.cfg.Store.ReadRange(sess.clientID, req.LSN, to, wire.MaxPayload)
 	if err != nil {
 		sess.peer.SendErr(pkt.Seq, wire.CodeNotStored, fmt.Sprintf("LSN %d not stored", req.LSN))
 		return
 	}
-	recs := []record.Record{first}
-	if wire.FitRecords(recs) == 0 {
+	recs = recs[:wire.FitRecords(recs)]
+	if len(recs) == 0 {
 		// The record exists but cannot fit even alone in a reply
 		// packet. Answering CodeNotStored here would lie — the client
 		// would conclude this server holds nothing at the LSN and could
@@ -919,26 +935,6 @@ func (s *Server) handleRead(sess *session, pkt *wire.Packet, forward bool) {
 		sess.peer.SendErr(pkt.Seq, wire.CodeTooLarge,
 			fmt.Sprintf("LSN %d record too large for one reply packet", req.LSN))
 		return
-	}
-	lsn := req.LSN
-	for {
-		if forward {
-			lsn++
-		} else {
-			if lsn == 1 {
-				break
-			}
-			lsn--
-		}
-		rec, err := s.cfg.Store.Read(sess.clientID, lsn)
-		if err != nil {
-			break
-		}
-		recs = append(recs, rec)
-		if n := wire.FitRecords(recs); n < len(recs) {
-			recs = recs[:n]
-			break
-		}
 	}
 	s.m.readsServed.Add(uint64(len(recs)))
 	respType := wire.TReadForwardResp
@@ -948,24 +944,44 @@ func (s *Server) handleRead(sess *session, pkt *wire.Packet, forward bool) {
 	sess.peer.SendRecords(respType, pkt.Seq, 0, recs)
 }
 
-// Streaming read reply bounds.
+// Streaming read bounds.
 const (
-	// DefaultStreamPackets is how many TReadStreamData chunks one
-	// ReadStream request may produce when the request leaves MaxPackets
-	// zero.
-	DefaultStreamPackets = 4
-	// maxStreamPackets caps a single request's reply regardless of what
-	// it asks for, bounding the work one datagram can demand.
-	maxStreamPackets = 32
+	// maxReadCredit caps the chunks a stream may run ahead of what its
+	// client has consumed, whatever the client grants: the work (and the
+	// burst) one datagram can demand of the server.
+	maxReadCredit = 128
+	// readAheadChunks sizes one store read of a stream: enough records
+	// to fill this many chunks. Small enough that the first chunk leaves
+	// long before the client's whole credit has been read, large enough
+	// that the store sees a range, not a record, per call.
+	readAheadChunks = 8
+	// maxParkedReads bounds the streams one session may leave parked on
+	// credit; opening another evicts the oldest. A client whose cursor
+	// was closed mid-stream never says so — its stream ages out here.
+	maxParkedReads = 8
 )
 
-// handleReadStream serves a ReadStream request: consecutive stored
-// records from From toward To, packed into up to MaxPackets streaming
-// reply chunks. The final chunk carries the done flag; it is set early
-// when the server runs off the end of what it holds (a holder-set
-// boundary the client resolves by re-requesting elsewhere) or when the
-// packet budget runs out (the client re-requests from its advanced
-// position).
+// readStream is one streaming read between grants: where it stands in
+// the range, how far the client's credit reaches, and the records read
+// from the store but not yet sent.
+type readStream struct {
+	forward  bool
+	next, to record.LSN // next LSN to read from the store; last LSN wanted
+	drained  bool       // the store has nothing more in range
+	pending  []record.Record
+	index    uint32 // chunks sent so far
+	limit    uint32 // chunks the client has granted
+}
+
+// handleReadStream opens a streaming read: consecutive stored records
+// from From toward To, packed into TReadStreamData chunks, as many as
+// the request's credit allows now and the rest as TReadCredit grants
+// arrive. Between grants the stream is parked and the worker returns
+// to its queue, so a long recovery scan interleaves with — never
+// starves — the same client's writes and forces. The final chunk
+// carries the done flag; it comes early when the server runs off the
+// end of what it holds, a holder-set boundary the client resolves by
+// asking another server.
 func (s *Server) handleReadStream(sess *session, pkt *wire.Packet) {
 	req, err := wire.DecodeReadStreamPayload(pkt.Payload)
 	if err != nil {
@@ -978,21 +994,15 @@ func (s *Server) handleReadStream(sess *session, pkt *wire.Packet) {
 		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, "bad read stream bounds")
 		return
 	}
-	budget := int(req.MaxPackets)
-	if budget <= 0 {
-		budget = DefaultStreamPackets
-	} else if budget > maxStreamPackets {
-		budget = maxStreamPackets
-	}
-
+	st := &readStream{forward: forward, next: req.From, to: req.To,
+		limit: min(max(1, uint32(req.Credit)), maxReadCredit)}
 	faultpoint.Hit(FPReadBeforeStore)
-	first, err := s.cfg.Store.Read(sess.clientID, req.From)
-	if err != nil {
+	s.fillStream(sess, st)
+	if len(st.pending) == 0 {
 		sess.peer.SendErr(pkt.Seq, wire.CodeNotStored, fmt.Sprintf("LSN %d not stored", req.From))
 		return
 	}
-	recs := []record.Record{first}
-	if wire.FitStreamRecords(recs) == 0 {
+	if wire.FitStreamRecords(st.pending[:1]) == 0 {
 		// Same rule as handleRead: the record exists, so CodeNotStored
 		// would wrongly mark this server a non-holder.
 		sess.peer.SendErr(pkt.Seq, wire.CodeTooLarge,
@@ -1000,51 +1010,88 @@ func (s *Server) handleReadStream(sess *session, pkt *wire.Packet) {
 		return
 	}
 	s.m.streamsServed.Add(1)
-
-	lsn := req.From // last record accepted into the stream
-	var index uint16
-	sent := 0
-	exhausted := false
-	for {
-		// Extend the current chunk until the packet fills or the range
-		// ends at the bound, the store's holdings, or LSN 1.
-		for !exhausted {
-			if lsn == req.To || (!forward && lsn == 1) {
-				exhausted = true
-				break
-			}
-			next := lsn + 1
-			if !forward {
-				next = lsn - 1
-			}
-			rec, err := s.cfg.Store.Read(sess.clientID, next)
-			if err != nil {
-				exhausted = true
-				break
-			}
-			recs = append(recs, rec)
-			if n := wire.FitStreamRecords(recs); n < len(recs) {
-				recs = recs[:n]
-				break // chunk full; next re-read for the following chunk
-			}
-			lsn = next
-		}
-		budget--
-		done := exhausted || budget == 0 ||
-			len(recs) == 0 // oversized mid-stream record: stop, let the re-request hit CodeTooLarge
-		faultpoint.Hit(FPStreamBetweenPackets)
-		if _, err := sess.peer.SendStreamChunk(pkt.Seq, index, done, 0, recs); err != nil {
-			return
-		}
-		sent += len(recs)
-		s.m.streamPackets.Add(1)
-		if done {
-			break
-		}
-		index++
-		recs = recs[:0]
+	if s.serveStream(sess, pkt.Seq, st) {
+		return
 	}
-	s.m.readsServed.Add(uint64(sent))
+	if sess.reads == nil {
+		sess.reads = make(map[uint64]*readStream)
+	}
+	if len(sess.reads) >= maxParkedReads {
+		oldest := pkt.Seq
+		for seq := range sess.reads {
+			oldest = min(oldest, seq)
+		}
+		delete(sess.reads, oldest)
+	}
+	sess.reads[pkt.Seq] = st
+}
+
+// handleReadCredit applies a grant to a parked stream and resumes it.
+// A grant for a stream that finished, aged out, or never arrived is
+// ignored: the client's inter-chunk timeout covers every such case.
+func (s *Server) handleReadCredit(sess *session, pkt *wire.Packet) {
+	p, err := wire.DecodeReadCreditPayload(pkt.Payload)
+	if err != nil {
+		return
+	}
+	st := sess.reads[p.Stream]
+	if st == nil || p.Limit <= st.limit {
+		return
+	}
+	st.limit = min(p.Limit, st.index+maxReadCredit)
+	if s.serveStream(sess, p.Stream, st) {
+		delete(sess.reads, p.Stream)
+	}
+}
+
+// fillStream tops up st.pending with one ReadRange call, or marks the
+// stream drained when the store holds nothing (more) at st.next.
+func (s *Server) fillStream(sess *session, st *readStream) {
+	recs, err := s.cfg.Store.ReadRange(sess.clientID, st.next, st.to, readAheadChunks*wire.MaxPayload)
+	if err != nil {
+		st.drained = true
+		return
+	}
+	st.pending = append(st.pending, recs...)
+	last := recs[len(recs)-1].LSN
+	switch {
+	case last == st.to || (!st.forward && last == 1):
+		st.drained = true
+	case st.forward:
+		st.next = last + 1
+	default:
+		st.next = last - 1
+	}
+}
+
+// serveStream sends chunks while the stream's credit lasts and reports
+// whether it sent the final one.
+func (s *Server) serveStream(sess *session, respTo uint64, st *readStream) (finished bool) {
+	for st.index < st.limit {
+		n := wire.FitStreamRecords(st.pending)
+		if n == len(st.pending) && !st.drained {
+			// Everything on hand fits one chunk and the range goes on:
+			// read ahead before cutting the chunk, so chunks leave full.
+			s.fillStream(sess, st)
+			n = wire.FitStreamRecords(st.pending)
+		}
+		// n == 0 with records pending is an oversized mid-stream record:
+		// end the stream short of it, and let the request that resumes
+		// there draw CodeTooLarge.
+		done := n == 0 || (n == len(st.pending) && st.drained)
+		faultpoint.Hit(FPStreamBetweenPackets)
+		if _, err := sess.peer.SendStreamChunk(respTo, st.index, done, 0, st.pending[:n]); err != nil {
+			return true
+		}
+		s.m.streamPackets.Add(1)
+		s.m.readsServed.Add(uint64(n))
+		st.index++
+		st.pending = st.pending[n:]
+		if done {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleCopyLog(sess *session, pkt *wire.Packet) {

@@ -12,11 +12,12 @@ import (
 	"distlog/internal/record"
 )
 
-// TestDifferentialBackends drives the memory, simulated-disk, and file
-// backends with the same random operation sequence and requires every
-// observable — append outcomes, reads, interval lists, last keys — to
-// agree exactly. The memory store is simple enough to review by eye;
-// agreement transfers that confidence to the device-backed stores.
+// TestDifferentialBackends drives the memory, simulated-disk, file, and
+// segmented backends with the same random operation sequence and
+// requires every observable — append outcomes, reads, range reads,
+// interval lists, last keys — to agree exactly. The memory store is
+// simple enough to review by eye; agreement transfers that confidence
+// to the device-backed stores.
 func TestDifferentialBackends(t *testing.T) {
 	for _, seed := range []int64{3, 17, 2026} {
 		seed := seed
@@ -43,7 +44,12 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "file": fs}
+	// Segments of a few frames each, so range reads cross extents.
+	ss, err := OpenSegStore(filepath.Join(t.TempDir(), "seg"), SegOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "file": fs, "seg": ss}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -66,7 +72,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 		var wantOut string
 		var wantErr error
 		first := true
-		for _, name := range []string{"mem", "disk", "file"} {
+		for _, name := range []string{"mem", "disk", "file", "seg"} {
 			out, err := fn(stores[name])
 			if first {
 				wantOut, wantErr, first = out, err, false
@@ -110,7 +116,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 					maxSeen[c] = rec.LSN
 				}
 			}
-		case r < 0.70: // read a random LSN (stored or not)
+		case r < 0.60: // read a random LSN (stored or not)
 			probe := record.LSN(rng.Intn(int(maxSeen[c]) + 3))
 			apply("read", func(s Store) (string, error) {
 				rec, err := s.Read(c, probe)
@@ -121,6 +127,24 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 					return "", err
 				}
 				return rec.String() + string(rec.Data), nil
+			})
+		case r < 0.70: // range read: random bounds, either direction, random budget
+			from := record.LSN(rng.Intn(int(maxSeen[c]) + 3))
+			to := record.LSN(rng.Intn(int(maxSeen[c]) + 3))
+			budget := []int{1, 60, 4096}[rng.Intn(3)]
+			apply("readrange", func(s Store) (string, error) {
+				recs, err := s.ReadRange(c, from, to, budget)
+				if errors.Is(err, ErrNotStored) {
+					return "not-stored", nil
+				}
+				if err != nil {
+					return "", err
+				}
+				out := ""
+				for _, rec := range recs {
+					out += rec.String() + string(rec.Data) + ";"
+				}
+				return out, nil
 			})
 		case r < 0.80: // interval list
 			apply("intervals", func(s Store) (string, error) {

@@ -195,18 +195,37 @@ func (s *DiskStore) Force() error {
 func (s *DiskStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.readLocked(c, lsn, nil)
+}
+
+// ReadRange implements Store. Consecutive frames mostly share a track,
+// so the call keeps the last track it read instead of fetching it from
+// the disk again — twice — for every record.
+func (s *DiskStore) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held := &heldTrack{track: -1}
+	return readRange(from, to, maxBytes, func(lsn record.LSN) (record.Record, error) {
+		return s.readLocked(c, lsn, held)
+	})
+}
+
+// heldTrack is the durable track a ReadRange call read last. Durable
+// tracks never change, and nothing drains while the call holds s.mu.
+type heldTrack struct {
+	track int
+	data  []byte
+}
+
+func (s *DiskStore) readLocked(c record.ClientID, lsn record.LSN, held *heldTrack) (record.Record, error) {
 	if s.closed {
 		return record.Record{}, ErrClosed
 	}
-	ci := s.clients[c]
-	if ci == nil {
-		return record.Record{}, ErrNotStored
+	ref, err := lookupRef(s.clients, c, lsn)
+	if err != nil {
+		return record.Record{}, err
 	}
-	ref, ok := ci.lookup(lsn)
-	if !ok {
-		return record.Record{}, ErrNotStored
-	}
-	e, err := s.fetchEntry(ref.loc)
+	e, err := s.fetchEntry(ref.loc, held)
 	if err != nil {
 		return record.Record{}, err
 	}
@@ -214,13 +233,13 @@ func (s *DiskStore) Read(c record.ClientID, lsn record.LSN) (record.Record, erro
 }
 
 // fetchEntry decodes the stream entry at the absolute offset.
-func (s *DiskStore) fetchEntry(loc int64) (streamEntry, error) {
-	header, err := s.fetch(loc, frameOverhead)
+func (s *DiskStore) fetchEntry(loc int64, held *heldTrack) (streamEntry, error) {
+	header, err := s.fetch(loc, frameOverhead, held)
 	if err != nil {
 		return streamEntry{}, err
 	}
 	plen := int(uint32(header[1])<<24 | uint32(header[2])<<16 | uint32(header[3])<<8 | uint32(header[4]))
-	frame, err := s.fetch(loc, frameOverhead+plen)
+	frame, err := s.fetch(loc, frameOverhead+plen, held)
 	if err != nil {
 		return streamEntry{}, err
 	}
@@ -229,8 +248,10 @@ func (s *DiskStore) fetchEntry(loc int64) (streamEntry, error) {
 }
 
 // fetch gathers n stream bytes starting at absolute offset loc from
-// the durable tracks and, for the tail, the NVRAM staging buffer.
-func (s *DiskStore) fetch(loc int64, n int) ([]byte, error) {
+// the durable tracks and, for the tail, the NVRAM staging buffer. held,
+// when non-nil, spares re-reading the track it holds and is left
+// holding the last track read.
+func (s *DiskStore) fetch(loc int64, n int, held *heldTrack) ([]byte, error) {
 	if loc+int64(n) > s.streamLen {
 		return nil, fmt.Errorf("storage: fetch [%d,%d) beyond stream end %d", loc, loc+int64(n), s.streamLen)
 	}
@@ -241,9 +262,17 @@ func (s *DiskStore) fetch(loc int64, n int) ([]byte, error) {
 		if pos < diskEnd {
 			track := int(pos / int64(s.trackSize))
 			within := int(pos % int64(s.trackSize))
-			data, _, err := s.d.ReadTrack(track)
-			if err != nil {
-				return nil, err
+			var data []byte
+			if held != nil && held.track == track {
+				data = held.data
+			} else {
+				var err error
+				if data, _, err = s.d.ReadTrack(track); err != nil {
+					return nil, err
+				}
+				if held != nil {
+					held.track, held.data = track, data
+				}
 			}
 			take := len(data) - within
 			if rem := n - len(out); take > rem {

@@ -165,16 +165,25 @@ func (s *FileStore) Force() error {
 func (s *FileStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.readLocked(c, lsn)
+}
+
+// ReadRange implements Store.
+func (s *FileStore) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return readRange(from, to, maxBytes, func(lsn record.LSN) (record.Record, error) {
+		return s.readLocked(c, lsn)
+	})
+}
+
+func (s *FileStore) readLocked(c record.ClientID, lsn record.LSN) (record.Record, error) {
 	if s.closed {
 		return record.Record{}, ErrClosed
 	}
-	ci := s.clients[c]
-	if ci == nil {
-		return record.Record{}, ErrNotStored
-	}
-	ref, ok := ci.lookup(lsn)
-	if !ok {
-		return record.Record{}, ErrNotStored
+	ref, err := lookupRef(s.clients, c, lsn)
+	if err != nil {
+		return record.Record{}, err
 	}
 	e, err := s.fetchEntry(ref.loc)
 	if err != nil {

@@ -68,16 +68,25 @@ func (m *MemStore) Force() error {
 func (m *MemStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.readLocked(c, lsn)
+}
+
+// ReadRange implements Store.
+func (m *MemStore) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return readRange(from, to, maxBytes, func(lsn record.LSN) (record.Record, error) {
+		return m.readLocked(c, lsn)
+	})
+}
+
+func (m *MemStore) readLocked(c record.ClientID, lsn record.LSN) (record.Record, error) {
 	if m.closed {
 		return record.Record{}, ErrClosed
 	}
-	ci := m.clients[c]
-	if ci == nil {
-		return record.Record{}, ErrNotStored
-	}
-	ref, ok := ci.lookup(lsn)
-	if !ok {
-		return record.Record{}, ErrNotStored
+	ref, err := lookupRef(m.clients, c, lsn)
+	if err != nil {
+		return record.Record{}, err
 	}
 	return m.records[c][ref.loc].Clone(), nil
 }

@@ -361,6 +361,25 @@ func (s *SegStore) Force() error {
 func (s *SegStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.readLocked(c, lsn, nil)
+}
+
+// ReadRange implements Store. Hot records are decoded out of one pread
+// per contiguous extent of the stream rather than two per record: a
+// client's consecutive LSNs sit at ascending offsets, adjacent unless
+// another client's appends interleave.
+func (s *SegStore) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ext := &extent{span: max(2*maxBytes, 4096), backward: to < from}
+	return readRange(from, to, maxBytes, func(lsn record.LSN) (record.Record, error) {
+		return s.readLocked(c, lsn, ext)
+	})
+}
+
+// readLocked is Read under s.mu. ext, when non-nil, caches the stream
+// bytes around the last hot read so neighbouring frames need no I/O.
+func (s *SegStore) readLocked(c record.ClientID, lsn record.LSN, ext *extent) (record.Record, error) {
 	if s.closed {
 		return record.Record{}, ErrClosed
 	}
@@ -387,7 +406,7 @@ func (s *SegStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error
 	if ref.loc < s.boundary {
 		return s.readArchived(c, lsn)
 	}
-	e, err := s.fetchEntry(ref.loc)
+	e, err := s.fetchEntry(ref.loc, ext)
 	if err != nil {
 		return record.Record{}, err
 	}
@@ -408,25 +427,74 @@ func (s *SegStore) readArchived(c record.ClientID, lsn record.LSN) (record.Recor
 	return rec, nil
 }
 
-// fetchEntry reads and decodes the frame at the absolute offset.
-// Caller holds s.mu.
-func (s *SegStore) fetchEntry(loc int64) (streamEntry, error) {
+// extent is a window of one segment's bytes held across the reads of a
+// ReadRange call.
+type extent struct {
+	span     int  // bytes per window
+	backward bool // the scan descends: a window ends with the frame that missed
+	base     int64
+	buf      []byte
+}
+
+// frameAt returns the complete frame at absolute offset loc, if the
+// window holds all of it.
+func (x *extent) frameAt(loc int64) ([]byte, bool) {
+	off := loc - x.base
+	if off < 0 || off+frameOverhead > int64(len(x.buf)) {
+		return nil, false
+	}
+	end := off + frameOverhead + int64(binary.BigEndian.Uint32(x.buf[off+1:off+5]))
+	if end > int64(len(x.buf)) {
+		return nil, false
+	}
+	return x.buf[off:end], true
+}
+
+// fetchEntry reads and decodes the frame at the absolute offset: a
+// header read and a frame read. With an extent, a miss instead reads a
+// window of the segment positioned to cover the frames the scan reaches
+// next — forward in a single read, backward after the header read that
+// tells where the frame (and so the window) ends. Caller holds s.mu.
+func (s *SegStore) fetchEntry(loc int64, ext *extent) (streamEntry, error) {
+	if ext != nil {
+		if frame, ok := ext.frameAt(loc); ok {
+			e, _, err := decodeFrame(frame)
+			return e, err
+		}
+	}
 	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].end() > loc })
 	if i == len(s.segs) || s.segs[i].base > loc {
 		return streamEntry{}, fmt.Errorf("storage: offset %d not in any live segment", loc)
 	}
 	g := s.segs[i]
-	off := loc - g.base
+	if ext != nil && !ext.backward {
+		ext.base, ext.buf = loc, make([]byte, min(g.end()-loc, int64(ext.span)))
+		if _, err := g.f.ReadAt(ext.buf, loc-g.base); err != nil {
+			return streamEntry{}, err
+		}
+		if frame, ok := ext.frameAt(loc); ok {
+			e, _, err := decodeFrame(frame)
+			return e, err
+		}
+		// A frame longer than the window: read it exactly, below.
+	}
 	var header [frameOverhead]byte
-	if _, err := g.f.ReadAt(header[:], off); err != nil {
+	if _, err := g.f.ReadAt(header[:], loc-g.base); err != nil {
 		return streamEntry{}, err
 	}
-	plen := int(binary.BigEndian.Uint32(header[1:5]))
-	frame := make([]byte, frameOverhead+plen)
-	if _, err := g.f.ReadAt(frame, off); err != nil {
+	frameEnd := loc + frameOverhead + int64(binary.BigEndian.Uint32(header[1:5]))
+	lo := loc
+	if ext != nil && ext.backward {
+		lo = max(g.base, min(loc, frameEnd-int64(ext.span)))
+	}
+	buf := make([]byte, frameEnd-lo)
+	if _, err := g.f.ReadAt(buf, lo-g.base); err != nil {
 		return streamEntry{}, err
 	}
-	e, _, err := decodeFrame(frame)
+	if ext != nil && ext.backward {
+		ext.base, ext.buf = lo, buf
+	}
+	e, _, err := decodeFrame(buf[loc-lo:])
 	return e, err
 }
 

@@ -59,6 +59,15 @@ type Store interface {
 	// stored for the client.
 	Read(c record.ClientID, lsn record.LSN) (record.Record, error)
 
+	// ReadRange returns consecutive stored records starting at from and
+	// running toward to (inclusive; descending LSNs when to < from),
+	// each the copy Read would return. It stops early at the first LSN
+	// the store does not hold, and once the records gathered reach
+	// maxBytes of encoded size — but never before the first record.
+	// ErrNotStored when from itself is not stored. One call replaces a
+	// Read per record on the streaming read path.
+	ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error)
+
 	// Intervals returns the client's interval list: the epoch, low LSN
 	// and high LSN of each consecutive sequence of stored records.
 	Intervals(c record.ClientID) []record.Interval
@@ -274,6 +283,46 @@ func (ci *clientIndex) lookup(lsn record.LSN) (entryRef, bool) {
 	default:
 		return entryRef{}, false
 	}
+}
+
+// lookupRef resolves (client, LSN) in a backend's index map, mapping a
+// miss at either level to ErrNotStored.
+func lookupRef(clients map[record.ClientID]*clientIndex, c record.ClientID, lsn record.LSN) (entryRef, error) {
+	if ci := clients[c]; ci != nil {
+		if ref, ok := ci.lookup(lsn); ok {
+			return ref, nil
+		}
+	}
+	return entryRef{}, ErrNotStored
+}
+
+// readRange assembles a ReadRange reply from a backend's own
+// record-at-a-time read (called with the backend's lock held). A
+// failure past the first record ends the batch; the caller's next call
+// starts there and reports it.
+func readRange(from, to record.LSN, maxBytes int, read func(record.LSN) (record.Record, error)) ([]record.Record, error) {
+	var out []record.Record
+	size := 0
+	for lsn := from; ; {
+		rec, err := read(lsn)
+		if err != nil {
+			if len(out) == 0 {
+				return nil, err
+			}
+			break
+		}
+		out = append(out, rec)
+		size += rec.EncodedSize()
+		if lsn == to || size >= maxBytes {
+			break
+		}
+		if to > from {
+			lsn++
+		} else {
+			lsn--
+		}
+	}
+	return out, nil
 }
 
 // stageKey identifies a staging area.

@@ -16,6 +16,10 @@ import (
 // tracked, keeping the hot path allocation-free for real peers.
 const addrCacheLimit = 4096
 
+// udpReceiveBuffer is the socket receive buffer an endpoint asks for:
+// room for several streams' windows of MaxPacketSize datagrams.
+const udpReceiveBuffer = 1 << 20
+
 // UDPEndpoint implements Endpoint over a real UDP socket. Addresses
 // are host:port strings. UDP already provides the datagram semantics
 // the protocol assumes (loss, duplication, reordering possible; no
@@ -46,6 +50,13 @@ func ListenUDP(addr string) (*UDPEndpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A recovery scan keeps up to a credit window of full-size reply
+	// packets in flight per stream, and the kernel charges each against
+	// the buffer at roughly twice its size; the usual 208 KiB default
+	// then drops packets whenever the receive pump is descheduled, and
+	// each drop costs the reader a call timeout. Best effort: the kernel
+	// clamps the request to net.core.rmem_max.
+	_ = conn.SetReadBuffer(udpReceiveBuffer)
 	u := &UDPEndpoint{
 		conn:  conn,
 		froms: make(map[netip.AddrPort]string),

@@ -89,6 +89,13 @@ const (
 	TReadStreamData
 	TErrResp
 
+	// TReadCredit is the asynchronous client-to-server grant of a
+	// streaming read (Figure 4.1's moving window, pointed at the reader):
+	// it raises the number of TReadStreamData chunks the server may have
+	// sent on one open stream. Appended after the responses so every
+	// earlier type keeps its number.
+	TReadCredit
+
 	tMax
 )
 
@@ -108,7 +115,7 @@ var typeNames = map[Type]string{
 	TCopyLogResp: "CopyLogResp", TInstallCopiesResp: "InstallCopiesResp",
 	TEpochReadResp: "EpochReadResp", TEpochWriteResp: "EpochWriteResp",
 	TTruncateResp: "TruncateResp", TReadStreamData: "ReadStreamData",
-	TErrResp: "ErrResp",
+	TErrResp: "ErrResp", TReadCredit: "ReadCredit",
 }
 
 func (t Type) String() string {

@@ -83,32 +83,34 @@ const (
 )
 
 // streamChunkHeaderSize is the chunk header prepended to each
-// TReadStreamData payload: [Index uint16][Flags uint8], followed by an
+// TReadStreamData payload: [Index uint32][Flags uint8], followed by an
 // ordinary RecordsPayload (epoch + grouped records).
-const streamChunkHeaderSize = 2 + 1
+const streamChunkHeaderSize = 4 + 1
 
 // streamChunkDone flags the final chunk of a stream.
 const streamChunkDone = 0x01
 
-// ReadStreamPayload asks the server to stream the stored records from
+// ReadStreamPayload opens a streaming read of the stored records from
 // From through To (inclusive, in scan order: To <= From for a backward
-// stream) as up to MaxPackets TReadStreamData chunks. The server stops
-// early — final chunk flagged done — when it reaches a record it does
-// not hold, so one reply never papers over a holder-set boundary.
+// stream) as a sequence of TReadStreamData chunks. The server sends
+// chunks only while the client's credit lasts: Credit of them at once,
+// more as TReadCredit grants arrive. The final chunk is flagged done;
+// the server sets it early when it reaches a record it does not hold,
+// so one stream never papers over a holder-set boundary.
 type ReadStreamPayload struct {
 	From record.LSN
 	To   record.LSN
 	Dir  uint8 // StreamForward or StreamBackward
-	// MaxPackets bounds the reply chunks for this request; zero takes
-	// the server default.
-	MaxPackets uint8
+	// Credit is the initial grant: how many chunks the server may send
+	// before the first TReadCredit. Zero is treated as one.
+	Credit uint8
 }
 
 // Encode serializes the payload.
 func (p *ReadStreamPayload) Encode() []byte {
 	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 18), uint64(p.From))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.To))
-	return append(buf, p.Dir, p.MaxPackets)
+	return append(buf, p.Dir, p.Credit)
 }
 
 // DecodeReadStreamPayload parses a ReadStreamPayload.
@@ -117,16 +119,41 @@ func DecodeReadStreamPayload(data []byte) (*ReadStreamPayload, error) {
 		return nil, fmt.Errorf("%w: read stream payload %d bytes", ErrBadPacket, len(data))
 	}
 	return &ReadStreamPayload{
-		From:       record.LSN(binary.BigEndian.Uint64(data)),
-		To:         record.LSN(binary.BigEndian.Uint64(data[8:])),
-		Dir:        data[16],
-		MaxPackets: data[17],
+		From:   record.LSN(binary.BigEndian.Uint64(data)),
+		To:     record.LSN(binary.BigEndian.Uint64(data[8:])),
+		Dir:    data[16],
+		Credit: data[17],
+	}, nil
+}
+
+// ReadCreditPayload is the body of a TReadCredit grant. Limit is
+// cumulative — the server may have sent chunks with Index < Limit — so
+// a lost, duplicated, or reordered grant is covered by the next one.
+type ReadCreditPayload struct {
+	Stream uint64 // Seq of the TReadStreamReq that opened the stream
+	Limit  uint32
+}
+
+// Encode serializes the payload.
+func (p *ReadCreditPayload) Encode() []byte {
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 12), p.Stream)
+	return binary.BigEndian.AppendUint32(buf, p.Limit)
+}
+
+// DecodeReadCreditPayload parses a ReadCreditPayload.
+func DecodeReadCreditPayload(data []byte) (*ReadCreditPayload, error) {
+	if len(data) != 12 {
+		return nil, fmt.Errorf("%w: read credit payload %d bytes", ErrBadPacket, len(data))
+	}
+	return &ReadCreditPayload{
+		Stream: binary.BigEndian.Uint64(data),
+		Limit:  binary.BigEndian.Uint32(data[8:]),
 	}, nil
 }
 
 // StreamChunk is one decoded TReadStreamData payload.
 type StreamChunk struct {
-	Index   uint16 // position of this chunk within the stream, from 0
+	Index   uint32 // position of this chunk within the stream, from 0
 	Done    bool   // final chunk of the stream
 	Epoch   record.Epoch
 	Records []record.Record // alias the packet buffer, like DecodeRecordsPayload
@@ -142,8 +169,8 @@ func DecodeStreamChunk(data []byte) (*StreamChunk, error) {
 		return nil, err
 	}
 	return &StreamChunk{
-		Index:   binary.BigEndian.Uint16(data),
-		Done:    data[2]&streamChunkDone != 0,
+		Index:   binary.BigEndian.Uint32(data),
+		Done:    data[4]&streamChunkDone != 0,
 		Epoch:   rp.Epoch,
 		Records: rp.Records,
 	}, nil
@@ -285,7 +312,42 @@ func DecodeIntervalPayload(data []byte) (*IntervalPayload, error) {
 	}, nil
 }
 
-// IntervalListPayload answers IntervalList calls.
+// MaxIntervalsPerPacket is how many intervals one IntervalListResp can
+// carry: the fixed 4-byte count header leaves room for
+// (MaxPayload-4)/IntervalEncodedSize entries. A reply carrying exactly
+// this many may have older intervals behind it; see
+// IntervalListReqPayload.
+const MaxIntervalsPerPacket = (MaxPayload - 4) / record.IntervalEncodedSize
+
+// IntervalListReqPayload asks for a client's interval list, most recent
+// intervals first: Skip is how many of the most recent ones the caller
+// already holds, and the reply is the page of up to
+// MaxIntervalsPerPacket intervals just older than those. Lists are
+// short by design — a new interval per client restart, trimmed by every
+// truncation — so one page is the rule; but a log restarted more often
+// than it is truncated outgrows a packet, and a list silently cut to
+// its tail reads back as a log whose oldest records were never written.
+// (Skip 0 encodes as the four zero bytes of an empty interval list,
+// which is what this request used to carry.)
+type IntervalListReqPayload struct {
+	Skip uint32
+}
+
+// Encode serializes the payload.
+func (p *IntervalListReqPayload) Encode() []byte {
+	return binary.BigEndian.AppendUint32(nil, p.Skip)
+}
+
+// DecodeIntervalListReqPayload parses an IntervalListReqPayload.
+func DecodeIntervalListReqPayload(data []byte) (*IntervalListReqPayload, error) {
+	if len(data) != 4 {
+		return nil, fmt.Errorf("%w: interval list request %d bytes", ErrBadPacket, len(data))
+	}
+	return &IntervalListReqPayload{Skip: binary.BigEndian.Uint32(data)}, nil
+}
+
+// IntervalListPayload answers IntervalList calls: one page of the list,
+// in ascending order.
 type IntervalListPayload struct {
 	Intervals []record.Interval
 }

@@ -120,7 +120,34 @@ func (p *Peer) grant() uint64 { return p.accepted + p.window }
 // paper's deadlock-avoidance rule) and then proceeds. The frame is
 // encoded into a pooled buffer, so a Send allocates nothing.
 func (p *Peer) Send(t Type, respTo uint64, payload []byte) (uint64, error) {
-	return p.send(t, respTo, payload, nil, 0, nil)
+	return p.send(0, t, respTo, payload, nil, 0, nil)
+}
+
+// Reserve assigns the next sequence number without transmitting
+// anything, so the caller can register for the reply before the request
+// can possibly be answered; SendAs or SendRecordsAs then transmits
+// under it. A reserved number that is never sent is simply skipped.
+func (p *Peer) Reserve() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.nextSeq++
+	return p.nextSeq
+}
+
+// SendAs is Send for a request whose sequence number was reserved.
+func (p *Peer) SendAs(seq uint64, t Type, payload []byte) error {
+	_, err := p.send(seq, t, 0, payload, nil, 0, nil)
+	return err
+}
+
+// SendRecordsAs is SendRecords for a request whose sequence number was
+// reserved.
+func (p *Peer) SendRecordsAs(seq uint64, t Type, epoch record.Epoch, recs []record.Record) error {
+	if len(recs) == 0 {
+		return fmt.Errorf("wire: SendRecordsAs with no records")
+	}
+	_, err := p.send(seq, t, 0, nil, nil, epoch, recs)
+	return err
 }
 
 // SendRecords transmits a RecordsPayload-bearing packet (WriteLog,
@@ -131,7 +158,7 @@ func (p *Peer) SendRecords(t Type, respTo uint64, epoch record.Epoch, recs []rec
 	if len(recs) == 0 {
 		return 0, fmt.Errorf("wire: SendRecords with no records")
 	}
-	return p.send(t, respTo, nil, nil, epoch, recs)
+	return p.send(0, t, respTo, nil, nil, epoch, recs)
 }
 
 // SendStreamChunk transmits one TReadStreamData chunk of a streaming
@@ -139,16 +166,16 @@ func (p *Peer) SendRecords(t Type, respTo uint64, epoch record.Epoch, recs []rec
 // and grouped records, all encoded directly into the pooled frame
 // buffer. The final chunk of a stream may carry zero records (done with
 // nothing further to send).
-func (p *Peer) SendStreamChunk(respTo uint64, index uint16, done bool, epoch record.Epoch, recs []record.Record) (uint64, error) {
+func (p *Peer) SendStreamChunk(respTo uint64, index uint32, done bool, epoch record.Epoch, recs []record.Record) (uint64, error) {
 	var hdr [streamChunkHeaderSize]byte
-	binary.BigEndian.PutUint16(hdr[0:2], index)
+	binary.BigEndian.PutUint32(hdr[0:4], index)
 	if done {
-		hdr[2] = streamChunkDone
+		hdr[4] = streamChunkDone
 	}
 	if recs == nil {
 		recs = []record.Record{} // non-nil: force RecordsPayload framing
 	}
-	return p.send(TReadStreamData, respTo, nil, hdr[:], epoch, recs)
+	return p.send(0, TReadStreamData, respTo, nil, hdr[:], epoch, recs)
 }
 
 // SendLSN transmits an LSNPayload-bearing packet (NewHighLSN acks,
@@ -156,7 +183,7 @@ func (p *Peer) SendStreamChunk(respTo uint64, index uint16, done bool, epoch rec
 func (p *Peer) SendLSN(t Type, respTo uint64, lsn record.LSN) (uint64, error) {
 	var scratch [8]byte
 	binary.BigEndian.PutUint64(scratch[:], uint64(lsn))
-	return p.send(t, respTo, scratch[:], nil, 0, nil)
+	return p.send(0, t, respTo, scratch[:], nil, 0, nil)
 }
 
 // SendWriteAck transmits the cumulative write acknowledgement
@@ -166,16 +193,21 @@ func (p *Peer) SendWriteAck(respTo uint64, stable, appended record.LSN) (uint64,
 	var scratch [16]byte
 	binary.BigEndian.PutUint64(scratch[:8], uint64(stable))
 	binary.BigEndian.PutUint64(scratch[8:], uint64(appended))
-	return p.send(TNewHighLSN, respTo, scratch[:], nil, 0, nil)
+	return p.send(0, TNewHighLSN, respTo, scratch[:], nil, 0, nil)
 }
 
-func (p *Peer) send(t Type, respTo uint64, payload, prefix []byte, epoch record.Epoch, recs []record.Record) (uint64, error) {
+// send transmits one packet under seq, a number from Reserve, or —
+// seq zero — under the next one.
+func (p *Peer) send(seq uint64, t Type, respTo uint64, payload, prefix []byte, epoch record.Epoch, recs []record.Record) (uint64, error) {
 	p.mu.Lock()
 	if !p.established && t != TSyn && t != TSynAck && t != TAck && t != TRst {
 		p.mu.Unlock()
 		return 0, ErrNotEstablished
 	}
-	seq := p.nextSeq + 1
+	if seq == 0 {
+		p.nextSeq++
+		seq = p.nextSeq
+	}
 	if seq > p.theirAlloc && t != TRst {
 		p.stats.OverAllocWaits++
 		pause := p.overAllocPause
@@ -183,7 +215,6 @@ func (p *Peer) send(t Type, respTo uint64, payload, prefix []byte, epoch record.
 		time.Sleep(pause)
 		p.mu.Lock()
 	}
-	p.nextSeq = seq
 	alloc := p.grant()
 	p.stats.Sent++
 	p.mu.Unlock()

@@ -106,6 +106,14 @@ func TestTypePredicates(t *testing.T) {
 	if TWriteLog.String() != "WriteLog" {
 		t.Errorf("String = %s", TWriteLog)
 	}
+	// A read-credit grant is asynchronous: neither a call nor an answer.
+	if TReadCredit.IsRequest() || TReadCredit.IsResponse() || TReadCredit.String() != "ReadCredit" {
+		t.Error("ReadCredit misclassified")
+	}
+	// External per-type tables (bench/trace.go) are sized at 48.
+	if tMax > 48 {
+		t.Errorf("tMax = %d, want <= 48", tMax)
+	}
 }
 
 func TestRecordsPayloadRoundTrip(t *testing.T) {
@@ -190,6 +198,19 @@ func TestSmallPayloadRoundTrips(t *testing.T) {
 	gotEP, err := DecodeErrPayload(ep.Encode())
 	if err != nil || *gotEP != *ep {
 		t.Fatalf("Err: %+v, %v", gotEP, err)
+	}
+	rs := &ReadStreamPayload{From: 9, To: 2, Dir: StreamBackward, Credit: 64}
+	gotRS, err := DecodeReadStreamPayload(rs.Encode())
+	if err != nil || *gotRS != *rs {
+		t.Fatalf("ReadStream: %+v, %v", gotRS, err)
+	}
+	rc := &ReadCreditPayload{Stream: 1 << 40, Limit: 70000}
+	gotRC, err := DecodeReadCreditPayload(rc.Encode())
+	if err != nil || *gotRC != *rc {
+		t.Fatalf("ReadCredit: %+v, %v", gotRC, err)
+	}
+	if _, err := DecodeReadCreditPayload(rc.Encode()[:11]); err == nil {
+		t.Error("short ReadCredit accepted")
 	}
 	// Malformed variants.
 	if _, err := DecodeNewIntervalPayload([]byte{1}); err == nil {
@@ -457,6 +478,64 @@ func TestPeerSendRecordsAndLSN(t *testing.T) {
 	lp, err := DecodeLSNPayload(ack.Payload)
 	if err != nil || lp.LSN != 5 {
 		t.Fatalf("ack payload: %+v, %v", lp, err)
+	}
+}
+
+// TestPeerStreamChunkAndReservedSeq covers the two framing paths of a
+// streaming read: chunks whose index outgrows 16 bits, and a request
+// sent under a sequence number reserved beforehand — with an ordinary
+// send in between, so the reserved number arrives out of order.
+func TestPeerStreamChunkAndReservedSeq(t *testing.T) {
+	cp, sp, n := newPeerPair(t)
+	cp.SetEstablished()
+	sp.SetEstablished()
+	se, ce := n.Endpoint("server"), n.Endpoint("client")
+	recv := func(ep transport.Endpoint) Packet {
+		t.Helper()
+		raw, err := ep.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt, err := Decode(raw.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkt
+	}
+
+	reserved := cp.Reserve()
+	later, err := cp.Send(TWriteLog, 0, nil)
+	if err != nil || later != reserved+1 {
+		t.Fatalf("send after Reserve: seq %d (reserved %d), %v", later, reserved, err)
+	}
+	req := ReadStreamPayload{From: 1, To: 9, Credit: 2}
+	if err := cp.SendAs(reserved, TReadStreamReq, req.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if pkt := recv(se); pkt.Seq != later {
+		t.Fatalf("first arrival seq %d, want %d", pkt.Seq, later)
+	}
+	pkt := recv(se)
+	if pkt.Seq != reserved || pkt.Type != TReadStreamReq || !sp.Observe(&pkt) {
+		t.Fatalf("reserved-seq request: %+v", pkt)
+	}
+
+	recs := []record.Record{{LSN: 7, Epoch: 3, Present: true, Data: []byte("x")}}
+	if _, err := sp.SendStreamChunk(pkt.Seq, 70000, true, 0, recs); err != nil {
+		t.Fatal(err)
+	}
+	reply := recv(ce)
+	chunk, err := DecodeStreamChunk(reply.Payload)
+	if err != nil || reply.RespTo != reserved || chunk.Index != 70000 || !chunk.Done ||
+		len(chunk.Records) != 1 || chunk.Records[0].LSN != 7 {
+		t.Fatalf("chunk: %+v (respTo %d), %v", chunk, reply.RespTo, err)
+	}
+	// A final chunk may be empty.
+	if _, err := sp.SendStreamChunk(pkt.Seq, 1, true, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if chunk, err := DecodeStreamChunk(recv(ce).Payload); err != nil || len(chunk.Records) != 0 || !chunk.Done {
+		t.Fatalf("empty final chunk: %+v, %v", chunk, err)
 	}
 }
 
