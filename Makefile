@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with the concurrency-heavy machinery; they get a dedicated
 # race-detector tier in `make check`.
-RACE_PKGS := ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
+RACE_PKGS := ./internal/appendforest/... ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
 
 .PHONY: all build test race check bench bench-smoke vet fmt crashaudit soak
 

@@ -1,8 +1,11 @@
 package appendforest
 
 import (
+	"math/bits"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -66,35 +69,53 @@ func TestPersistentRejectsNonIncreasing(t *testing.T) {
 	}
 }
 
+// TestPersistentWriteOnceDiscipline pins Section 4.3's cost:
+// every append is exactly one node write — the NodeStore has no way to
+// rewrite one — and, with the root stack's heights and minima kept in
+// memory, no node read.
 func TestPersistentWriteOnceDiscipline(t *testing.T) {
-	// The write-once property: appends never rewrite an existing node.
-	store := &onceStore{}
+	store := &countingStore{}
 	f, err := OpenPersistent(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := uint64(1); k <= 200; k++ {
-		if err := f.Append(k, int64(k)); err != nil {
+	for k := uint64(1); k <= 1000; k++ {
+		store.reads, store.appends = 0, 0
+		if err := f.Append(3*k, int64(k)); err != nil {
 			t.Fatal(err)
 		}
+		if store.reads != 0 || store.appends != 1 {
+			t.Fatalf("append %d: %d node reads, %d node writes; want 0 and 1", k, store.reads, store.appends)
+		}
 	}
-	if store.rewrites != 0 {
-		t.Fatalf("%d rewrites on write-once storage", store.rewrites)
+	// The nodes are the ones the read-back merge rule expects: a reopen
+	// replays and validates them, and every key resolves.
+	g, err := OpenPersistent(store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if store.appends != 200 {
-		t.Fatalf("appends = %d, want exactly one node per key", store.appends)
+	for k := uint64(1); k <= 1000; k++ {
+		if v, ok, err := g.Lookup(3 * k); err != nil || !ok || v != int64(k) {
+			t.Fatalf("Lookup(%d) after reopen = %d,%v,%v", 3*k, v, ok, err)
+		}
 	}
 }
 
-type onceStore struct {
+// countingStore counts node reads and appends.
+type countingStore struct {
 	MemNodeStore
-	appends  int
-	rewrites int
+	reads   int
+	appends int
 }
 
-func (s *onceStore) AppendNode(buf []byte) (int64, error) {
+func (s *countingStore) AppendNode(buf []byte) (int64, error) {
 	s.appends++
 	return s.MemNodeStore.AppendNode(buf)
+}
+
+func (s *countingStore) ReadNode(pos int64, buf []byte) error {
+	s.reads++
+	return s.MemNodeStore.ReadNode(pos, buf)
 }
 
 func TestPersistentRecoveryFromFile(t *testing.T) {
@@ -211,23 +232,12 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 	}
 }
 
-// readCountingStore counts node reads.
-type readCountingStore struct {
-	MemNodeStore
-	reads int
-}
-
-func (s *readCountingStore) ReadNode(pos int64, buf []byte) error {
-	s.reads++
-	return s.MemNodeStore.ReadNode(pos, buf)
-}
-
 // TestPersistentScanReadsOneNodePerKey: a lookup of the key next to the
 // one looked up last — a scan, in either direction — costs one node
 // read, not a descent; and whatever order keys are looked up in, with
 // appends in between, the neighbour shortcut never changes an answer.
 func TestPersistentScanReadsOneNodePerKey(t *testing.T) {
-	store := &readCountingStore{}
+	store := &countingStore{}
 	var mem Forest[int64]
 	pf, err := OpenPersistent(store)
 	if err != nil {
@@ -310,4 +320,186 @@ func BenchmarkPersistentLookupFile(b *testing.B) {
 			b.Fatal("missing key")
 		}
 	}
+}
+
+// TestPersistentSeekGE checks SeekGE against a plain search of the key
+// sequence — dense runs, gaps, probes below, between and above the
+// keys — and that it never reads more than a binary search would.
+func TestPersistentSeekGE(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	store := &countingStore{}
+	pf, err := OpenPersistent(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []uint64
+	key := uint64(100)
+	for i := 0; i < 5000; i++ {
+		if rng.Intn(4) == 0 {
+			key += uint64(rng.Intn(50)) // a gap
+		}
+		key++
+		keys = append(keys, key)
+		if err := pf.Append(key, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bound := bits.Len(uint(len(keys))) + 1
+	for i := 0; i < 3000; i++ {
+		probe := uint64(rng.Int63n(int64(key + 200)))
+		want := int64(sort.Search(len(keys), func(i int) bool { return keys[i] >= probe }))
+		store.reads = 0
+		got, err := pf.SeekGE(probe)
+		if err != nil || got != want {
+			t.Fatalf("SeekGE(%d) = %d, %v; want %d", probe, got, err, want)
+		}
+		if store.reads > bound {
+			t.Fatalf("SeekGE(%d) read %d nodes, want at most %d", probe, store.reads, bound)
+		}
+	}
+	// Past the last gap the keys run dense: one read finds the answer.
+	for i := 1; i <= 100; i++ {
+		if err := pf.Append(key+uint64(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.reads = 0
+	if got, _ := pf.SeekGE(key + 50); got != int64(len(keys)+49) || store.reads != 1 {
+		t.Fatalf("SeekGE in the dense tail = %d after %d reads, want %d after one", got, store.reads, len(keys)+49)
+	}
+}
+
+// TestFileNodeStoreWriteBehind: appended nodes stay in memory — the
+// file does not grow — until Sync, reads of held nodes (alone, or in a
+// run that starts on the file) come from memory, and a store holding
+// more than its bound writes the excess itself.
+func TestFileNodeStoreWriteBehind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nodes")
+	store, err := OpenFileNodeStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pf, err := OpenPersistent(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileNodes := func() int64 {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size() / NodeSize
+	}
+	for k := uint64(1); k <= 100; k++ {
+		pf.Append(k, int64(k))
+	}
+	if n := fileNodes(); n != 0 {
+		t.Fatalf("%d nodes on the file before Sync, want none", n)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(101); k <= 150; k++ {
+		pf.Append(k, int64(k))
+	}
+	if n := fileNodes(); n != 100 {
+		t.Fatalf("%d nodes on the file, want the 100 synced", n)
+	}
+	var got []uint64
+	if err := pf.Scan(90, 120, func(key uint64, _ int64) error {
+		got = append(got, key)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 30 || got[0] != 91 || got[29] != 120 {
+		t.Fatalf("Scan across the file/memory seam = %v", got)
+	}
+	for k := uint64(151); int64(k)*NodeSize <= 2*writeBehindBytes; k++ {
+		pf.Append(k, int64(k))
+	}
+	if n := fileNodes(); n*NodeSize < writeBehindBytes {
+		t.Fatalf("only %d nodes on the file after appending past the bound", n)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2, err := OpenFileNodeStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	pf2, err := OpenPersistent(store2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf2.Len() != pf.Len() {
+		t.Fatalf("reopened %d nodes, wrote %d", pf2.Len(), pf.Len())
+	}
+}
+
+// TestOpenPersistentRejectsMalformed: a node log whose nodes are not
+// what the append rule writes fails to open instead of yielding a
+// forest a descent could loop in.
+func TestOpenPersistentRejectsMalformed(t *testing.T) {
+	store := &MemNodeStore{}
+	pf, _ := OpenPersistent(store)
+	for k := uint64(1); k <= 7; k++ {
+		pf.Append(k, int64(k))
+	}
+	// Node 2 joined nodes 0 and 1; point its left son at itself.
+	nd := decodePNode(store.nodes[2])
+	nd.left = 2
+	nd.encode(store.nodes[2])
+	if _, err := OpenPersistent(store); err == nil {
+		t.Fatal("a node pointing at itself opened")
+	}
+}
+
+// FuzzOpenPersistent feeds arbitrary node-log bytes to the replay. It
+// must fail cleanly or yield a forest in which every node's key
+// resolves to its payload.
+func FuzzOpenPersistent(f *testing.F) {
+	for _, n := range []int{0, 1, 2, 3, 7, 20} {
+		store := &MemNodeStore{}
+		pf, _ := OpenPersistent(store)
+		for k := 1; k <= n; k++ {
+			pf.Append(uint64(k*2), int64(k))
+		}
+		var log []byte
+		for _, nd := range store.nodes {
+			log = append(log, nd...)
+		}
+		f.Add(log)
+		if len(log) > 0 {
+			bad := append([]byte(nil), log...)
+			bad[len(bad)-1] ^= 0x01
+			f.Add(bad)
+		}
+	}
+	f.Fuzz(func(t *testing.T, log []byte) {
+		store := &MemNodeStore{}
+		for len(log) >= NodeSize {
+			store.AppendNode(log[:NodeSize])
+			log = log[NodeSize:]
+		}
+		pf, err := OpenPersistent(store)
+		if err != nil {
+			return
+		}
+		if err := pf.Scan(0, pf.Len(), func(key uint64, payload int64) error {
+			got, ok, err := pf.Lookup(key)
+			if err != nil || !ok || got != payload {
+				t.Fatalf("Lookup(%d) = %d,%v,%v, want %d", key, got, ok, err, payload)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pf.SeekGE(pf.MaxKey() / 2); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -425,8 +425,8 @@ func (l *ReplicatedLog) dial(addr string) (*session, error) {
 		connID := l.cfg.ConnID + connIDCounter.Add(1)
 		sess := newSession(l.cfg.Endpoint, addr, l.cfg.ClientID, connID,
 			l.cfg.Window, l.cfg.OverAllocPause, l.cfg.CallTimeout, l.cfg.Retries)
-		if flipper, ok := l.cfg.Endpoint.(interface{ Flip() }); ok {
-			sess.onRetry = flipper.Flip
+		if dual, ok := l.cfg.Endpoint.(interface{ Unanswered(peer string) }); ok {
+			sess.onRetry = func() { dual.Unanswered(addr) }
 		}
 		// Window and wakeups are wired before the session is published:
 		// deliver reads the callbacks without sess.mu.

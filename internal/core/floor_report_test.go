@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -37,9 +38,11 @@ func TestFloorReReportedOnReconnect(t *testing.T) {
 	}
 
 	// Reboot the victim over its surviving store and bring the client
-	// back to it: migrating onto the node forces fresh sessions. The
-	// first attempts may race the reboot (the stale session must be
-	// reset and re-dialed), so retry briefly.
+	// back to it. Migrate proves each target with a round trip, so the
+	// session the client still caches for the victim draws the rebooted
+	// server's reset and is re-dialed — and the fresh handshake reports
+	// the floor — before Migrate returns. Retry briefly in case an
+	// attempt races the reboot itself.
 	c.start(victim)
 	target := []string{victim}
 	for _, name := range l.WriteSet() {
@@ -75,5 +78,36 @@ func TestFloorReReportedOnReconnect(t *testing.T) {
 			t.Fatalf("rebooted server still advertises LSN %d below the floor %d: the reconnect never re-reported the truncation point", ivs[0].Low, want)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMigrateOntoDownServerFails: a session the client still caches
+// for a server that has gone down is no proof the server is there.
+// Migrate's anchor is fire-and-forget, so before the fix a migration
+// onto the dead server with nothing outstanding to force reported
+// success and left the write set on it — the same race that let a
+// migration onto a rebooted server finish before the server's reset
+// arrived, so no fresh session (and no floor report) ever followed.
+func TestMigrateOntoDownServerFails(t *testing.T) {
+	c := newCluster(t, "s1", "s2", "s3")
+	l := mustOpen(t, c, 1, 2)
+	defer l.Close()
+
+	writeForced(t, l, 10)
+	victim := l.WriteSet()[0]
+	c.stop(victim)
+	// The force fails over off the stopped server; the client's session
+	// to it stays cached.
+	writeForced(t, l, 10)
+	before := l.WriteSet()
+	if slices.Contains(before, victim) {
+		t.Fatalf("write set %v still holds the stopped server %s", before, victim)
+	}
+
+	if err := l.Migrate([]string{victim, before[0]}); err == nil {
+		t.Fatalf("Migrate onto the stopped server %s succeeded; write set now %v", victim, l.WriteSet())
+	}
+	if got := l.WriteSet(); !slices.Equal(got, before) {
+		t.Fatalf("failed migration moved the write set: %v -> %v", before, got)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"distlog/internal/faultpoint"
 	"distlog/internal/idgen"
@@ -84,36 +86,32 @@ func (l *ReplicatedLog) Migrate(newSet []string) error {
 		return nil // already there
 	}
 
-	// 1. Fresh epoch. Same representative quorum as initialization; the
-	// leaving server (if any) still answers epoch reads while draining.
-	reps := l.cfg.EpochReps
-	if reps == nil {
-		for _, addr := range l.cfg.Servers {
-			reps = append(reps, &remoteRep{log: l, addr: addr})
+	// Reach every target while the epoch is drawn — it costs no extra
+	// round trip — and before touching any client state: an unreachable
+	// target aborts the migration with the old set intact.
+	targets := make([]*session, len(newSet))
+	reachErrs := make([]error, len(newSet))
+	var wg sync.WaitGroup
+	for i, addr := range newSet {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			targets[i], reachErrs[i] = l.reach(addr)
+		}()
+	}
+	// 1. Fresh epoch.
+	newEpoch, err := l.migrationEpoch()
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	for i, err := range reachErrs {
+		if err != nil {
+			return fmt.Errorf("core: migrate dial %s: %w", newSet[i], err)
 		}
 	}
-	gen, err := idgen.New(reps...)
-	if err != nil {
-		return fmt.Errorf("core: migrate epoch quorum: %w", err)
-	}
-	epoch, err := gen.NewID()
-	if err != nil {
-		return fmt.Errorf("core: migrate epoch: %w", err)
-	}
-	newEpoch := record.Epoch(epoch)
 
 	faultpoint.Hit(FPMigrateBeforeAnchor)
-
-	// Dial every target before touching any client state: an
-	// unreachable target aborts the migration with the old set intact.
-	targets := make([]*session, len(newSet))
-	for i, addr := range newSet {
-		sess, err := l.dial(addr)
-		if err != nil {
-			return fmt.Errorf("core: migrate dial %s: %w", addr, err)
-		}
-		targets[i] = sess
-	}
 
 	l.mu.Lock()
 	if l.closed {
@@ -185,4 +183,47 @@ func (l *ReplicatedLog) Migrate(newSet []string) error {
 		}
 	}
 	return nil
+}
+
+// migrationEpoch draws a fresh epoch from the same representative
+// quorum as initialization; a leaving server still answers epoch reads
+// while draining.
+func (l *ReplicatedLog) migrationEpoch() (record.Epoch, error) {
+	reps := l.cfg.EpochReps
+	if reps == nil {
+		for _, addr := range l.cfg.Servers {
+			reps = append(reps, &remoteRep{log: l, addr: addr})
+		}
+	}
+	gen, err := idgen.New(reps...)
+	if err != nil {
+		return 0, fmt.Errorf("core: migrate epoch quorum: %w", err)
+	}
+	epoch, err := gen.NewID()
+	if err != nil {
+		return 0, fmt.Errorf("core: migrate epoch: %w", err)
+	}
+	return record.Epoch(epoch), nil
+}
+
+// reach returns a session to addr that has just answered a round trip.
+// dial alone is not enough for a migration target: a cached session
+// can outlive its server's incarnation (the server went down, or
+// rebooted, while the session sat idle), and the anchor Migrate sends
+// is fire-and-forget — the migration would report success onto a
+// server that never heard of it. A session the server has reset is
+// re-dialed once; the fresh handshake also re-reports the truncation
+// floor, ahead of the probe on the same session.
+func (l *ReplicatedLog) reach(addr string) (*session, error) {
+	probe := (&wire.IntervalListReqPayload{}).Encode()
+	for attempt := 0; ; attempt++ {
+		sess, err := l.dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		_, err = sess.call(wire.TIntervalListReq, probe)
+		if err == nil || attempt > 0 || !errors.Is(err, ErrServerReset) {
+			return sess, err
+		}
+	}
 }

@@ -141,7 +141,7 @@ func VerifyArchiveDir(dir string) (*VerifyReport, error) {
 			continue
 		}
 		rep.ForestNodes += forest.Len()
-		err = forest.Scan(func(key uint64, off int64) error {
+		err = forest.Scan(0, forest.Len(), func(key uint64, off int64) error {
 			lsn := record.LSN(key)
 			if off < boundary {
 				// The frame retired; legal only if the LSN can never be

@@ -10,6 +10,7 @@ import (
 	"distlog/internal/disk"
 	"distlog/internal/nvram"
 	"distlog/internal/record"
+	"distlog/internal/retention"
 )
 
 // TestDifferentialBackends drives the memory, simulated-disk, file, and
@@ -17,7 +18,9 @@ import (
 // requires every observable — append outcomes, reads, range reads,
 // interval lists, last keys — to agree exactly. The memory store is
 // simple enough to review by eye; agreement transfers that confidence
-// to the device-backed stores.
+// to the device-backed stores. A second segmented store runs over a
+// real archive tier and is compacted, retired and reopened as it goes,
+// so its reads keep crossing the hot/cold boundary.
 func TestDifferentialBackends(t *testing.T) {
 	for _, seed := range []int64{3, 17, 2026} {
 		seed := seed
@@ -49,7 +52,22 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "file": fs, "seg": ss}
+	coldDir := t.TempDir()
+	openCold := func() (*SegStore, *retention.Archive) {
+		t.Helper()
+		arch, err := retention.OpenArchive(filepath.Join(coldDir, "archive"), retention.ArchiveOptions{VolumeBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := OpenSegStore(filepath.Join(coldDir, "seg"), SegOptions{SegmentBytes: 256, Archive: arch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs, arch
+	}
+	cold, arch := openCold()
+	defer func() { arch.Close() }()
+	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "file": fs, "seg": ss, "cold": cold}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -72,7 +90,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 		var wantOut string
 		var wantErr error
 		first := true
-		for _, name := range []string{"mem", "disk", "file", "seg"} {
+		for _, name := range []string{"mem", "disk", "file", "seg", "cold"} {
 			out, err := fn(stores[name])
 			if first {
 				wantOut, wantErr, first = out, err, false
@@ -178,8 +196,38 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 			if target+1 >= nextLSN[c] {
 				nextLSN[c] = target + 2
 			}
-		case r < 0.97: // force
+		case r < 0.97: // force; the cold store then compacts, retires, or reboots
 			apply("force", func(s Store) (string, error) { return "", s.Force() })
+			switch rng.Intn(4) {
+			case 0:
+				for {
+					ok, err := cold.CompactOnce()
+					if err != nil {
+						t.Fatalf("step %d: CompactOnce: %v", step, err)
+					}
+					if !ok {
+						break
+					}
+				}
+				for {
+					ok, err := arch.RetireOnce()
+					if err != nil {
+						t.Fatalf("step %d: RetireOnce: %v", step, err)
+					}
+					if !ok {
+						break
+					}
+				}
+			case 1:
+				if err := cold.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := arch.Close(); err != nil {
+					t.Fatal(err)
+				}
+				cold, arch = openCold()
+				stores["cold"] = cold
+			}
 		default: // truncate
 			if maxSeen[c] < 4 {
 				continue

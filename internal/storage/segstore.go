@@ -32,12 +32,20 @@ import (
 // stream would have produced. Reads transparently span the tiers: the
 // volatile index resolves an LSN to a byte offset, and offsets below
 // the fold boundary are served from the archive.
+//
+// s.mu is never held across a call into the archive: archive I/O
+// (syncs, retirement rewrites) must not queue appends and forces.
 type SegStore struct {
 	mu sync.Mutex
 	// compactMu serializes CompactOnce passes. It is never taken by the
 	// foreground paths, so compaction's fsyncs (archive, manifest)
 	// cannot stall an append or force.
 	compactMu sync.Mutex
+	// floorMu guards floors: the truncation points reported since the
+	// archive was last called. Truncate only records them here; the next
+	// archive call hands them over first (passFloors).
+	floorMu sync.Mutex
+	floors  map[record.ClientID]record.LSN
 
 	dir  string
 	opts SegOptions
@@ -175,20 +183,45 @@ func OpenSegStore(dir string, opts SegOptions) (*SegStore, error) {
 	}
 	s.clients = live.clients
 	s.stage = live.stage
-	if s.opts.Archive != nil {
-		// Re-assert the replayed truncation floors on the cold tier, so
-		// an archive that lost its in-memory floors to the crash clamps
-		// reads again before anything is looked up.
-		for c, ci := range s.clients {
-			if ci.truncated > 0 {
-				if err := s.opts.Archive.Truncate(c, ci.truncated); err != nil {
-					s.closeFiles()
-					return nil, err
-				}
-			}
-		}
+	// Re-assert the replayed truncation floors on the cold tier, so an
+	// archive that lost its in-memory floors to the crash clamps reads
+	// again before anything is looked up.
+	for c, ci := range s.clients {
+		s.noteFloor(c, ci.truncated)
 	}
 	return s, nil
+}
+
+// noteFloor records a truncation floor for the archive; the next
+// archive call hands it over.
+func (s *SegStore) noteFloor(c record.ClientID, floor record.LSN) {
+	if s.opts.Archive == nil || floor == 0 {
+		return
+	}
+	s.floorMu.Lock()
+	defer s.floorMu.Unlock()
+	if s.floors == nil {
+		s.floors = make(map[record.ClientID]record.LSN)
+	}
+	s.floors[c] = max(s.floors[c], floor)
+}
+
+// passFloors hands the archive the truncation floors noted since the
+// last archive call. Called before every archive call, without s.mu.
+func (s *SegStore) passFloors() error {
+	s.floorMu.Lock()
+	floors := s.floors
+	s.floors = nil
+	s.floorMu.Unlock()
+	for c, floor := range floors {
+		if err := s.opts.Archive.Truncate(c, floor); err != nil {
+			for c, floor := range floors {
+				s.noteFloor(c, floor)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *SegStore) openSegment(base int64) (*segment, error) {
@@ -355,76 +388,142 @@ func (s *SegStore) Force() error {
 	return nil
 }
 
-// Read implements Store. Offsets below the fold boundary belong to
-// reclaimed segments; their records were migrated to the archive tier
-// before the segment was deleted, so the read is served from there.
+// Read implements Store.
 func (s *SegStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readLocked(c, lsn, nil)
+	recs, err := s.ReadRange(c, lsn, lsn, 0)
+	if err != nil {
+		return record.Record{}, err
+	}
+	return recs[0], nil
 }
 
-// ReadRange implements Store. Hot records are decoded out of one pread
-// per contiguous extent of the stream rather than two per record: a
-// client's consecutive LSNs sit at ascending offsets, adjacent unless
-// another client's appends interleave.
+// ReadRange implements Store. The index routes every LSN: hot records
+// are decoded out of one pread per contiguous extent of the stream
+// rather than two per record (a client's consecutive LSNs sit at
+// ascending offsets, adjacent unless another client's appends
+// interleave), and each stretch of LSNs the index places in the archive
+// is handed to it as one range, with s.mu released for the archive's
+// I/O.
 func (s *SegStore) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ext := &extent{span: max(2*maxBytes, 4096), backward: to < from}
-	return readRange(from, to, maxBytes, func(lsn record.LSN) (record.Record, error) {
-		return s.readLocked(c, lsn, ext)
-	})
+	g := rangeGather{to: to, back: to < from, maxBytes: maxBytes}
+	ext := extent{span: max(2*maxBytes, 4096), backward: g.back}
+	for lsn := from; ; {
+		s.mu.Lock()
+		run, done, err := s.readHotLocked(c, &g, &ext, lsn)
+		s.mu.Unlock()
+		if err == nil && !done {
+			done, err = s.readCold(c, &g, run)
+		}
+		if err != nil {
+			return g.fail(err)
+		}
+		if done {
+			return g.out, nil
+		}
+		lsn = g.next(run.to)
+	}
 }
 
-// readLocked is Read under s.mu. ext, when non-nil, caches the stream
-// bytes around the last hot read so neighbouring frames need no I/O.
-func (s *SegStore) readLocked(c record.ClientID, lsn record.LSN, ext *extent) (record.Record, error) {
+// Where the index places an LSN.
+const (
+	nowhere        = iota
+	inSegment      // at a live segment offset
+	inArchive      // at an offset below the fold boundary: the archive holds it
+	maybeInArchive // not indexed (a reopened index covers only the hot tier) but not truncated either: the archive holds it or nothing does
+)
+
+func (s *SegStore) locate(ci *clientIndex, lsn record.LSN) (int, entryRef) {
+	ref, ok := ci.lookup(lsn)
+	switch {
+	case ok && ref.loc >= s.boundary:
+		return inSegment, ref
+	case ok:
+		return inArchive, ref
+	case s.opts.Archive != nil && lsn >= ci.truncated && lsn <= ci.lastLSN:
+		return maybeInArchive, ref
+	}
+	return nowhere, ref
+}
+
+// coldRun is a stretch of consecutive LSNs the index routes to the
+// archive.
+type coldRun struct {
+	from, to record.LSN
+	indexed  bool // from is inArchive: the archive must hold it
+}
+
+// maxColdRun bounds how many LSNs one cold run covers.
+const maxColdRun = 1024
+
+// readHotLocked serves the range from lsn on out of the segments until
+// it is done or reaches an LSN the archive must serve, and returns the
+// cold run starting there. Caller holds s.mu.
+func (s *SegStore) readHotLocked(c record.ClientID, g *rangeGather, ext *extent, lsn record.LSN) (coldRun, bool, error) {
 	if s.closed {
-		return record.Record{}, ErrClosed
+		return coldRun{}, true, ErrClosed
 	}
 	ci := s.clients[c]
 	if ci == nil {
-		return record.Record{}, ErrNotStored
+		return coldRun{}, true, ErrNotStored
 	}
-	ref, ok := ci.lookup(lsn)
-	if !ok {
-		// After a reopen the volatile index only covers the surviving
-		// segments; records folded away live in the archive, which is
-		// authoritative for anything not truncated.
-		if s.opts.Archive != nil && lsn >= ci.truncated {
-			rec, found, err := s.opts.Archive.Lookup(c, lsn)
+	for ; ; lsn = g.next(lsn) {
+		where, ref := s.locate(ci, lsn)
+		switch where {
+		case nowhere:
+			return coldRun{}, true, ErrNotStored
+		case inSegment:
+			e, err := s.fetchEntry(ref.loc, ext)
 			if err != nil {
-				return record.Record{}, err
+				return coldRun{}, true, err
 			}
-			if found {
-				return rec, nil
+			if g.add(e.rec) {
+				return coldRun{}, true, nil
 			}
+			continue
 		}
-		return record.Record{}, ErrNotStored
+		run := coldRun{from: lsn, to: lsn, indexed: where == inArchive}
+		for n := 1; run.to != g.to && n < maxColdRun; n++ {
+			if w, _ := s.locate(ci, g.next(run.to)); w != inArchive && w != maybeInArchive {
+				break
+			}
+			run.to = g.next(run.to)
+		}
+		return run, false, nil
 	}
-	if ref.loc < s.boundary {
-		return s.readArchived(c, lsn)
-	}
-	e, err := s.fetchEntry(ref.loc, ext)
-	if err != nil {
-		return record.Record{}, err
-	}
-	return e.rec, nil
 }
 
-func (s *SegStore) readArchived(c record.ClientID, lsn record.LSN) (record.Record, error) {
+// readCold serves a cold run from the archive and reports whether the
+// range is done. Called without s.mu.
+func (s *SegStore) readCold(c record.ClientID, g *rangeGather, run coldRun) (bool, error) {
 	if s.opts.Archive == nil {
-		return record.Record{}, fmt.Errorf("storage: LSN %d archived but no archive tier configured", lsn)
+		return true, fmt.Errorf("storage: LSN %d archived but no archive tier configured", run.from)
 	}
-	rec, ok, err := s.opts.Archive.Lookup(c, lsn)
+	if err := s.passFloors(); err != nil {
+		return true, err
+	}
+	recs, err := s.opts.Archive.ReadRange(c, run.from, run.to, g.maxBytes-g.size)
 	if err != nil {
-		return record.Record{}, err
+		return true, err
 	}
-	if !ok {
-		return record.Record{}, fmt.Errorf("storage: LSN %d below fold boundary but missing from archive", lsn)
+	if len(recs) == 0 {
+		if run.indexed {
+			return true, fmt.Errorf("storage: LSN %d below fold boundary but missing from archive", run.from)
+		}
+		return true, ErrNotStored
 	}
-	return rec, nil
+	want := run.from
+	for _, rec := range recs {
+		if rec.LSN != want {
+			return true, fmt.Errorf("storage: archive returned LSN %d for %d", rec.LSN, want)
+		}
+		if g.add(rec) {
+			return true, nil
+		}
+		want = g.next(want)
+	}
+	// A run the archive served only in part ends the range: the next
+	// LSN is one the archive does not hold.
+	return recs[len(recs)-1].LSN != run.to, nil
 }
 
 // extent is a window of one segment's bytes held across the reads of a
@@ -590,7 +689,10 @@ func (s *SegStore) DiscardStage(c record.ClientID) {
 }
 
 // Truncate implements Store. The truncation point is appended to the
-// stream; CompactOnce reclaims whole segments it kills.
+// stream; CompactOnce reclaims whole segments it kills. The cold tier
+// clamps its reads at the same floor and uses it to retire dead
+// volumes, but learns it only at the next archive call: this path
+// never waits on archive I/O.
 func (s *SegStore) Truncate(c record.ClientID, before record.LSN) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -606,14 +708,7 @@ func (s *SegStore) Truncate(c record.ClientID, before record.LSN) error {
 		return err
 	}
 	ci.truncate(before)
-	if s.opts.Archive != nil {
-		// The cold tier clamps its reads at the same floor and uses it
-		// to retire dead volumes. The call only updates memory; the
-		// archive persists floors on its own sync/retire cadence.
-		if err := s.opts.Archive.Truncate(c, before); err != nil {
-			return err
-		}
-	}
+	s.noteFloor(c, ci.truncated)
 	return nil
 }
 
@@ -663,6 +758,14 @@ func (s *SegStore) CompactOnce() (bool, error) {
 	// this path holds briefly — never across an fsync.
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
+
+	// Every pass hands over the floors reported since the last one, so
+	// the retirement pass the compactor runs next sees them.
+	if s.opts.Archive != nil {
+		if err := s.passFloors(); err != nil {
+			return false, err
+		}
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -784,9 +887,8 @@ func (s *SegStore) CompactOnce() (bool, error) {
 // Usage implements UsageReporter. ReclaimableBytes counts sealed
 // segments — the space compaction can return to the online tier.
 func (s *SegStore) Usage() Usage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var u Usage
+	s.mu.Lock()
 	for _, g := range s.segs {
 		u.LiveBytes += g.size
 		u.Segments++
@@ -795,7 +897,11 @@ func (s *SegStore) Usage() Usage {
 			u.ReclaimableBytes += g.size
 		}
 	}
+	s.mu.Unlock()
 	if s.opts.Archive != nil {
+		// Usage has no error to report; a failed hand-over is retried
+		// by the next archive call.
+		_ = s.passFloors()
 		u.ArchivedBytes = s.opts.Archive.Bytes()
 		if r, ok := s.opts.Archive.(interface{ ReclaimableBytes() int64 }); ok {
 			u.ArchiveReclaimableBytes = r.ReclaimableBytes()

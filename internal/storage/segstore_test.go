@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"distlog/internal/faultpoint"
 	"distlog/internal/record"
@@ -58,14 +59,20 @@ func (a *memArchive) Sync() error {
 	return nil
 }
 
-func (a *memArchive) Lookup(c record.ClientID, lsn record.LSN) (record.Record, bool, error) {
+func (a *memArchive) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r, ok := a.recs[c][lsn]
-	if !ok {
-		return record.Record{}, false, nil
+	recs, err := readRange(from, to, maxBytes, func(lsn record.LSN) (record.Record, error) {
+		r, ok := a.recs[c][lsn]
+		if !ok || lsn < a.floors[c] {
+			return record.Record{}, ErrNotStored
+		}
+		return r.Clone(), nil
+	})
+	if errors.Is(err, ErrNotStored) {
+		return nil, nil
 	}
-	return r.Clone(), true, nil
+	return recs, err
 }
 
 func (a *memArchive) Truncate(c record.ClientID, before record.LSN) error {
@@ -84,6 +91,89 @@ func (a *memArchive) Bytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.bytes
+}
+
+// blockingArchive holds its lock across Sync — as a real archive holds
+// its I/O lock across the fsyncs — and Sync blocks until released.
+type blockingArchive struct {
+	*memArchive
+	syncing chan struct{} // closed once the first Sync holds the lock
+	once    sync.Once
+	release chan struct{}
+}
+
+func (a *blockingArchive) Sync() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.once.Do(func() { close(a.syncing) })
+	<-a.release
+	return nil
+}
+
+// TestSegStoreWritePathNotBlockedByArchive is the regression test for
+// a priority inversion: Truncate called into the archive while holding
+// the store mutex, so an archive busy syncing (or retiring) stalled one
+// client's Truncate and, behind it, every other client's Append and
+// Force on the server. Truncate now only notes the floor; the archive
+// gets it at its next call.
+func TestSegStoreWritePathNotBlockedByArchive(t *testing.T) {
+	arch := &blockingArchive{memArchive: newMemArchive(), syncing: make(chan struct{}), release: make(chan struct{})}
+	s, err := OpenSegStore(t.TempDir(), SegOptions{SegmentBytes: 256, Archive: arch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(arch.release) }) }
+	defer release()
+
+	const c1, c2 = record.ClientID(1), record.ClientID(2)
+	fillSeg(t, s, c1, 20)
+	compacted := make(chan error, 1)
+	go func() {
+		_, err := s.CompactOnce()
+		compacted <- err
+	}()
+	select {
+	case <-arch.syncing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("compaction never reached the archive's Sync")
+	}
+
+	done := make(chan error, 2)
+	go func() { done <- s.Truncate(c1, 10) }()
+	go func() {
+		if err := s.Append(c2, rec(1, 1, "other-client")); err != nil {
+			done <- err
+			return
+		}
+		done <- s.Force()
+	}()
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a write-path call queued behind the archive's Sync")
+		}
+	}
+
+	release()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	// The floor reaches the archive with the next archive call.
+	if _, err := s.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	arch.mu.Lock()
+	floor := arch.floors[c1]
+	arch.mu.Unlock()
+	if floor != 10 {
+		t.Fatalf("archive floor for client %d = %d, want 10", c1, floor)
+	}
 }
 
 func segFiles(t *testing.T, dir string) []string {

@@ -142,12 +142,16 @@ type ArchiveTier interface {
 	Archive(c record.ClientID, rec record.Record) error
 	// Sync makes all preceding Archive calls durable.
 	Sync() error
-	// Lookup returns the archived record with the highest epoch for
-	// the LSN; ok is false when the archive holds nothing for it.
-	Lookup(c record.ClientID, lsn record.LSN) (record.Record, bool, error)
+	// ReadRange returns the archived records from from toward to
+	// (inclusive; descending when to < from), each the copy with the
+	// highest epoch for its LSN. It stops at the first LSN the archive
+	// holds nothing for and once the records gathered reach maxBytes of
+	// encoded size, never before the first; an empty result means it
+	// holds nothing for from.
+	ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error)
 	// Truncate reports the client's truncation floor: LSNs below it
-	// can never be read again, so the archive may clamp lookups there
-	// and retire storage that holds nothing else. Floors only advance.
+	// can never be read again, so the archive may clamp reads there and
+	// retire storage that holds nothing else. Floors only advance.
 	Truncate(c record.ClientID, before record.LSN) error
 	// Bytes reports the archive's stored size.
 	Bytes() int64
@@ -301,28 +305,50 @@ func lookupRef(clients map[record.ClientID]*clientIndex, c record.ClientID, lsn 
 // failure past the first record ends the batch; the caller's next call
 // starts there and reports it.
 func readRange(from, to record.LSN, maxBytes int, read func(record.LSN) (record.Record, error)) ([]record.Record, error) {
-	var out []record.Record
-	size := 0
-	for lsn := from; ; {
+	g := rangeGather{to: to, back: to < from, maxBytes: maxBytes}
+	for lsn := from; ; lsn = g.next(lsn) {
 		rec, err := read(lsn)
 		if err != nil {
-			if len(out) == 0 {
-				return nil, err
-			}
-			break
+			return g.fail(err)
 		}
-		out = append(out, rec)
-		size += rec.EncodedSize()
-		if lsn == to || size >= maxBytes {
-			break
-		}
-		if to > from {
-			lsn++
-		} else {
-			lsn--
+		if g.add(rec) {
+			return g.out, nil
 		}
 	}
-	return out, nil
+}
+
+// rangeGather collects a ReadRange reply.
+type rangeGather struct {
+	to       record.LSN
+	back     bool
+	maxBytes int
+	out      []record.Record
+	size     int
+}
+
+// add appends rec and reports whether the reply is complete: the range
+// reached its end or the byte budget.
+func (g *rangeGather) add(rec record.Record) bool {
+	g.out = append(g.out, rec)
+	g.size += rec.EncodedSize()
+	return rec.LSN == g.to || g.size >= g.maxBytes
+}
+
+// next is the LSN after lsn in the range's direction.
+func (g *rangeGather) next(lsn record.LSN) record.LSN {
+	if g.back {
+		return lsn - 1
+	}
+	return lsn + 1
+}
+
+// fail ends the reply at a failed read: the error itself when nothing
+// was gathered, otherwise the records so far.
+func (g *rangeGather) fail(err error) ([]record.Record, error) {
+	if len(g.out) == 0 {
+		return nil, err
+	}
+	return g.out, nil
 }
 
 // stageKey identifies a staging area.

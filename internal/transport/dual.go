@@ -15,10 +15,10 @@ import (
 // Sends to a peer prefer the network that peer was last heard on (so
 // replies return on the interface the request arrived on); otherwise
 // the current default network is used. Datagram loss is silent, so the
-// protocol layer calls Flip when its retransmissions go unanswered —
-// that switches the default network and forgets per-peer affinities,
-// moving all traffic onto the other network. Receives merge both
-// interfaces; protocol-level duplicate detection makes hearing the
+// protocol layer calls Unanswered when its retransmissions to a peer go
+// unanswered — that switches the default network and forgets per-peer
+// affinities, moving all traffic onto the other network. Receives merge
+// both interfaces; protocol-level duplicate detection makes hearing the
 // same packet on both networks harmless.
 type DualEndpoint struct {
 	eps [2]Endpoint
@@ -26,6 +26,7 @@ type DualEndpoint struct {
 	mu        sync.Mutex
 	preferred int
 	affinity  map[string]int // peer address -> network last heard on
+	sentOn    map[string]int // peer address -> network last sent on
 	closed    bool
 
 	recv chan Packet
@@ -39,6 +40,7 @@ func NewDualEndpoint(a, b Endpoint) *DualEndpoint {
 	d := &DualEndpoint{
 		eps:      [2]Endpoint{a, b},
 		affinity: make(map[string]int),
+		sentOn:   make(map[string]int),
 		recv:     make(chan Packet, 256),
 		done:     make(chan struct{}),
 	}
@@ -77,6 +79,7 @@ func (d *DualEndpoint) Send(to string, data []byte) error {
 	if !ok {
 		p = d.preferred
 	}
+	d.sentOn[to] = p
 	d.mu.Unlock()
 
 	if err := d.eps[p].Send(to, data); err == nil {
@@ -89,17 +92,26 @@ func (d *DualEndpoint) Send(to string, data []byte) error {
 	if err == nil {
 		d.mu.Lock()
 		d.affinity[to] = other
+		d.sentOn[to] = other
 		d.mu.Unlock()
 	}
 	return err
 }
 
-// Flip switches the default network and forgets per-peer affinities.
-// Protocol layers call it when retransmissions on the current network
-// go unanswered — the signal that the network, not the peer, is dead.
-func (d *DualEndpoint) Flip() {
+// Unanswered reports that retransmissions to peer went unanswered —
+// the signal that the network they went out on, not the peer, is dead.
+// If that network is the default, the default switches to the other one
+// and per-peer affinities are forgotten, moving all traffic over. If
+// the default already moved off it (several sessions timing out at
+// once), only the peer's own affinity is dropped: the traffic moves
+// once instead of flipping back onto the dead network.
+func (d *DualEndpoint) Unanswered(peer string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if p, ok := d.sentOn[peer]; ok && p != d.preferred {
+		delete(d.affinity, peer)
+		return
+	}
 	d.preferred = 1 - d.preferred
 	clear(d.affinity)
 }

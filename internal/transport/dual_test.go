@@ -42,7 +42,7 @@ func TestDualSurvivesNetwork1Death(t *testing.T) {
 		t.Fatal("packet crossed a dead network")
 	}
 	// ... the protocol layer notices the silence and flips.
-	r.a.Flip()
+	r.a.Unanswered("b")
 	if err := r.a.Send("b", []byte("via-net2")); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestDualSurvivesNetwork1Death(t *testing.T) {
 func TestDualAffinityFollowsSender(t *testing.T) {
 	r := newDualRig(t)
 	// a flips to network 2 and sends; b's replies must use network 2.
-	r.a.Flip()
+	r.a.Unanswered("b")
 	r.a.Send("b", []byte("x"))
 	if _, err := r.b.Recv(time.Second); err != nil {
 		t.Fatal(err)
@@ -82,13 +82,31 @@ func TestDualFlipTogglesPreferred(t *testing.T) {
 	if r.a.Preferred() != 0 {
 		t.Fatal("initial preferred != 0")
 	}
-	r.a.Flip()
+	r.a.Send("b", []byte("x"))
+	r.a.Unanswered("b")
 	if r.a.Preferred() != 1 {
-		t.Fatal("flip did not switch")
+		t.Fatal("silence on the default network did not switch it")
 	}
-	r.a.Flip()
+	r.a.Send("b", []byte("y"))
+	r.a.Unanswered("b")
 	if r.a.Preferred() != 0 {
-		t.Fatal("second flip did not switch back")
+		t.Fatal("silence on the second network did not switch back")
+	}
+}
+
+// TestDualConcurrentSilencesSwitchOnce is the regression test for
+// sessions timing out together — a force fans out to every write-set
+// server at once — each flipping the default network: two flips put the
+// traffic straight back on the dead network. Silence on a network the
+// default already left changes nothing.
+func TestDualConcurrentSilencesSwitchOnce(t *testing.T) {
+	r := newDualRig(t)
+	r.a.Send("b", []byte("x"))
+	r.a.Send("c", []byte("x"))
+	r.a.Unanswered("b")
+	r.a.Unanswered("c")
+	if r.a.Preferred() != 1 {
+		t.Fatalf("two silences on network 0 left the default on %d", r.a.Preferred())
 	}
 }
 
