@@ -15,9 +15,9 @@
 #   BenchmarkUDPRecvAllocs          allocation budget for the pooled UDP
 #                                   receive path (send+recv+release)
 #   BenchmarkMultiClientForce       aggregate forces/s across 1/4/8/16
-#                                   concurrent clients, FileStore and
-#                                   modelled DiskStore (server-side group
-#                                   force scaling)
+#                                   concurrent clients, SegStore (fsync)
+#                                   and modelled DiskStore (server-side
+#                                   group force scaling)
 #   BenchmarkStreamingWrite         single-client sustained records/s on a
 #                                   200µs-latency memnet: synchronous
 #                                   force-rounds baseline vs the streaming

@@ -87,10 +87,10 @@ func TestPublicAPIEngine(t *testing.T) {
 
 func TestPublicAPIOverUDP(t *testing.T) {
 	// The same protocol over real sockets: three UDP servers with
-	// file-backed stores, one UDP client.
+	// segmented stores, one UDP client.
 	var servers []string
 	for i := 0; i < 3; i++ {
-		store, err := distlog.OpenFileStore(fmt.Sprintf("%s/server-%d.log", t.TempDir(), i))
+		store, err := distlog.OpenSegStore(fmt.Sprintf("%s/server-%d", t.TempDir(), i), distlog.SegOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,12 +302,12 @@ func BenchmarkRemoteVsLocalLogging(b *testing.B) {
 			}
 		}
 	})
-	b.Run("remote-2servers-file", func(b *testing.B) {
+	b.Run("remote-2servers-seg", func(b *testing.B) {
 		// The durable variant: remote servers with fsync-backed stores.
 		net := distlog.NewNetwork(1)
 		names := []string{"f1", "f2", "f3"}
 		for _, name := range names {
-			store, err := distlog.OpenFileStore(fmt.Sprintf("%s/%s.log", b.TempDir(), name))
+			store, err := distlog.OpenSegStore(fmt.Sprintf("%s/%s", b.TempDir(), name), distlog.SegOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,7 +372,7 @@ func BenchmarkRemoteVsLocalLogging(b *testing.B) {
 // aggregate across clients: with coalescing, it should grow well past
 // the single-client rate instead of serializing on the store force.
 func BenchmarkMultiClientForce(b *testing.B) {
-	for _, kind := range []string{"file", "disk"} {
+	for _, kind := range []string{"seg", "disk"} {
 		for _, clients := range []int{1, 4, 8, 16} {
 			b.Run(fmt.Sprintf("%s/clients=%d", kind, clients), func(b *testing.B) {
 				runAggregateForce(b, kind, clients, 0)
@@ -392,8 +392,8 @@ func runAggregateForce(b *testing.B, kind string, clients int, delay time.Durati
 	for _, name := range names {
 		var store distlog.Store
 		switch kind {
-		case "file":
-			s, err := distlog.OpenFileStore(fmt.Sprintf("%s/%s.log", b.TempDir(), name))
+		case "seg":
+			s, err := distlog.OpenSegStore(fmt.Sprintf("%s/%s", b.TempDir(), name), distlog.SegOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

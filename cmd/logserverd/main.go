@@ -1,14 +1,14 @@
 // Command logserverd runs a standalone log server over UDP with a
-// durable file-backed store, suitable for multi-process deployments of
+// durable segmented store, suitable for multi-process deployments of
 // the distributed logging service.
 //
 // Usage:
 //
-//	logserverd -listen 127.0.0.1:7700 -data /var/lib/distlog/server1.log \
+//	logserverd -listen 127.0.0.1:7700 -data /var/lib/distlog/server1 \
 //	           -metrics 127.0.0.1:7780
 //
-// With -segment-bytes the store is segmented (Section 5.3 log space
-// management): -data names a directory of fixed-size append segments,
+// -data names a directory of fixed-size append segments (Section 5.3
+// log space management; -segment-bytes sets their capacity):
 // truncation-point advances reclaim whole segments, and a background
 // compactor migrates cold fully-stable segments into the write-once
 // archive tier named by -archive, pacing itself off the force-latency
@@ -52,14 +52,14 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7700", "UDP address to serve on")
-	data := flag.String("data", "distlog-server.log", "path of the log stream file")
+	data := flag.String("data", "distlog-server", "directory of the log stream's segment files")
 	stats := flag.Duration("stats", time.Minute, "statistics reporting interval (0 = silent)")
 	metrics := flag.String("metrics", "", "HTTP address serving /metrics JSON and /debug/telemetry (empty = off)")
 	traceCap := flag.Int("trace", 4096, "LSN-lifecycle trace ring capacity (0 = tracing off)")
 	queueDepth := flag.Int("queue-depth", 0, "per-session message queue bound (0 = default)")
 	sessionIdle := flag.Duration("session-idle", 0, "evict sessions idle this long (0 = default, <0 = never)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "segmented store: segment capacity in bytes, -data is a directory (0 = flat file store)")
-	archiveDir := flag.String("archive", "", "segmented store: directory of the write-once archive tier (empty = reclaim dead segments only)")
+	segmentBytes := flag.Int64("segment-bytes", 0, "segment capacity in bytes (0 = 64 MiB)")
+	archiveDir := flag.String("archive", "", "directory of the write-once archive tier (empty = reclaim dead segments only)")
 	archiveVolumeBytes := flag.Int64("archive-volume-bytes", 0, "archive volume capacity in bytes; full volumes below every client's truncation floor are retired wholesale (0 = 64 MiB)")
 	compactInterval := flag.Duration("compact-interval", time.Second, "pause between background compaction attempts")
 	compactBudget := flag.Duration("compact-budget", 5*time.Millisecond, "force p99 above which compaction backs off (0 = unpaced)")
@@ -70,59 +70,43 @@ func main() {
 		reg.EnableTrace(*traceCap)
 	}
 
-	var (
-		store     storage.Store
-		usage     storage.UsageReporter
-		arch      *retention.Archive
-		compactor *retention.Compactor
-		backend   = "file"
-	)
-	if *segmentBytes > 0 {
-		backend = "seg"
-		if *archiveDir != "" {
-			a, err := retention.OpenArchive(*archiveDir, retention.ArchiveOptions{VolumeBytes: *archiveVolumeBytes})
-			if err != nil {
-				log.Fatalf("opening archive: %v", err)
-			}
-			arch = a
-		}
-		var archTier storage.ArchiveTier
-		if arch != nil {
-			archTier = arch
-		}
-		seg, err := storage.OpenSegStore(*data, storage.SegOptions{
-			SegmentBytes: *segmentBytes,
-			Archive:      archTier,
-		})
-		if err != nil {
-			log.Fatalf("opening segmented store: %v", err)
-		}
-		store, usage = seg, seg
-		cfg := retention.CompactorConfig{
-			Store:          seg,
-			Interval:       *compactInterval,
-			ForceHist:      reg.Histogram("storage.seg.force_latency_ns"),
-			ForceP99Budget: uint64(*compactBudget),
-			OnError:        func(err error) { log.Printf("compaction: %v", err) },
-		}
-		if arch != nil {
-			cfg.Retire = arch
-		}
-		compactor = retention.NewCompactor(cfg)
-	} else {
-		fs, err := storage.OpenFileStore(*data)
-		if err != nil {
-			log.Fatalf("opening store: %v", err)
-		}
-		store, usage = fs, fs
+	if *segmentBytes < 0 {
+		log.Fatalf("-segment-bytes %d: want a capacity, or 0 for the default", *segmentBytes)
 	}
+	var arch *retention.Archive
+	var archTier storage.ArchiveTier
+	if *archiveDir != "" {
+		a, err := retention.OpenArchive(*archiveDir, retention.ArchiveOptions{VolumeBytes: *archiveVolumeBytes})
+		if err != nil {
+			log.Fatalf("opening archive: %v", err)
+		}
+		arch, archTier = a, a
+	}
+	store, err := storage.OpenSegStore(*data, storage.SegOptions{
+		SegmentBytes: *segmentBytes,
+		Archive:      archTier,
+	})
+	if err != nil {
+		log.Fatalf("opening store: %v", err)
+	}
+	cfg := retention.CompactorConfig{
+		Store:          store,
+		Interval:       *compactInterval,
+		ForceHist:      reg.Histogram("storage.seg.force_latency_ns"),
+		ForceP99Budget: uint64(*compactBudget),
+		OnError:        func(err error) { log.Printf("compaction: %v", err) },
+	}
+	if arch != nil {
+		cfg.Retire = arch
+	}
+	compactor := retention.NewCompactor(cfg)
 	ep, err := transport.ListenUDP(*listen)
 	if err != nil {
 		log.Fatalf("listening: %v", err)
 	}
 	srv := server.New(server.Config{
 		Name:        *listen,
-		Store:       storage.Instrument(store, reg, backend),
+		Store:       storage.Instrument(store, reg, "seg"),
 		Endpoint:    transport.Instrument(ep, reg, "net.udp"),
 		Epochs:      server.NewMemEpochHost(),
 		QueueDepth:  *queueDepth,
@@ -130,7 +114,7 @@ func main() {
 		Telemetry:   reg,
 	})
 	srv.Start()
-	log.Printf("log server on %s, store %s (%s), clients %v", ep.Addr(), *data, backend, store.Clients())
+	log.Printf("log server on %s, store %s, clients %v", ep.Addr(), *data, store.Clients())
 
 	// Export disk usage through the registry so /metrics (and `logctl
 	// du`) can report how much log space is live, reclaimable, and
@@ -141,7 +125,7 @@ func main() {
 		tick := time.NewTicker(2 * time.Second)
 		defer tick.Stop()
 		for {
-			u := usage.Usage()
+			u := store.Usage()
 			g("live_bytes").Set(u.LiveBytes)
 			g("reclaimable_bytes").Set(u.ReclaimableBytes)
 			g("archived_bytes").Set(u.ArchivedBytes)
@@ -206,9 +190,7 @@ func main() {
 	<-stop
 	srv.Stop()
 	close(usageStop)
-	if compactor != nil {
-		compactor.Stop()
-	}
+	compactor.Stop()
 	if err := store.Close(); err != nil {
 		log.Fatalf("closing store: %v", err)
 	}

@@ -146,9 +146,6 @@ type (
 // NewMemStore returns a volatile in-memory store.
 func NewMemStore() Store { return storage.NewMemStore() }
 
-// OpenFileStore opens a durable store on an ordinary file.
-func OpenFileStore(path string) (Store, error) { return storage.OpenFileStore(path) }
-
 // NewModelledStore returns a store over a simulated track disk fronted
 // by battery-backed NVRAM sized to nvramTracks tracks, along with the
 // devices (which survive simulated power failures and can be passed to

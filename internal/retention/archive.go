@@ -211,7 +211,6 @@ type overlayRef struct {
 }
 
 const (
-	archiveLegacyName   = "archive.log"
 	archiveOverlayName  = "overlay.log"
 	archiveManifestName = "MANIFEST"
 
@@ -279,10 +278,6 @@ func OpenArchive(dir string, opts ArchiveOptions) (*Archive, error) {
 	for c, f := range floors {
 		a.durable[c] = f
 	}
-	if err := a.migrateLegacyLocked(); err != nil {
-		return nil, err
-	}
-
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -362,22 +357,6 @@ func OpenArchive(dir string, opts ArchiveOptions) (*Archive, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// migrateLegacyLocked adopts a pre-volume archive.log as the first
-// volume. Legacy archives have no manifest, so the boundary is zero.
-func (a *Archive) migrateLegacyLocked() error {
-	legacy := filepath.Join(a.dir, archiveLegacyName)
-	if _, err := os.Stat(legacy); errors.Is(err, os.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return err
-	}
-	if err := os.Rename(legacy, filepath.Join(a.dir, volName(a.boundary))); err != nil {
-		return err
-	}
-	syncDirRetention(a.dir)
-	return nil
 }
 
 func (a *Archive) createVolume(base int64) (*volume, error) {

@@ -10,7 +10,7 @@ import (
 // ForceGroup coalesces concurrent Force calls into shared rounds —
 // server-side group force. Section 4.1 sizes a log server for 50
 // clients × 10 TPS and NVRAM makes every force a memory-speed no-op;
-// a FileStore has no NVRAM, so without coalescing 50 concurrent
+// a SegStore has no NVRAM, so without coalescing 50 concurrent
 // ForceLog handlers would queue 50 fsyncs back to back. A ForceGroup
 // runs at most one underlying Force at a time: the first caller leads
 // a round immediately, and every caller that arrives while that round

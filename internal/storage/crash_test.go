@@ -218,6 +218,20 @@ func TestDiskStoreInstallSurvivesCrash(t *testing.T) {
 	}
 }
 
+// legacyCheckpointFrame is an interval-list checkpoint frame as earlier
+// versions wrote it: one client (9) with one interval (epoch 1, LSNs
+// 1–10). Nothing writes these any more; replay must still skip them.
+var legacyCheckpointFrame = []byte{
+	0x04, 0x00, 0x00, 0x00, 0x28, // kind, payload length 40
+	0x00, 0x00, 0x00, 0x01, // one client
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, // client 9
+	0x00, 0x00, 0x00, 0x01, // one interval
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, // epoch 1
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, // low 1
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, // high 10
+	0x25, 0x79, 0x7d, 0xe2, // CRC-32
+}
+
 func TestDiskStoreCheckpointRoundTrip(t *testing.T) {
 	rig := newDiskRig(t, 512)
 	s := rig.open(t)
@@ -227,9 +241,11 @@ func TestDiskStoreCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Checkpoint(); err != nil {
+	rig.crash(s)
+	if err := rig.nv.Append(legacyCheckpointFrame); err != nil {
 		t.Fatal(err)
 	}
+	s = rig.open(t)
 	for i := record.LSN(11); i <= 20; i++ {
 		if err := s.Append(c, rec(i, 1, "x")); err != nil {
 			t.Fatal(err)
@@ -239,8 +255,53 @@ func TestDiskStoreCheckpointRoundTrip(t *testing.T) {
 	s2 := rig.open(t)
 	defer s2.Close()
 	ivs := s2.Intervals(c)
-	if len(ivs) != 1 || ivs[0].High != 20 {
-		t.Fatalf("Intervals after checkpointed recovery = %v", ivs)
+	if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 20}) {
+		t.Fatalf("Intervals after replaying a checkpoint frame = %v", ivs)
+	}
+	if got, err := s2.Read(c, 15); err != nil || got.LSN != 15 {
+		t.Fatalf("Read(15) = %v, %v", got, err)
+	}
+}
+
+func TestSegStoreReplaysLegacyCheckpointFrame(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = record.ClientID(9)
+	fillSeg(t, s, c, 10)
+	s.Close()
+	appendToSegment(t, dir, legacyCheckpointFrame)
+
+	s, err = OpenSegStore(dir, SegOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(c, rec(11, 1, "after")); err != nil {
+		t.Fatal(err)
+	}
+	ivs := s.Intervals(c)
+	if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 11}) {
+		t.Fatalf("Intervals after replaying a checkpoint frame = %v", ivs)
+	}
+	if got, err := s.Read(c, 11); err != nil || string(got.Data) != "after" {
+		t.Fatalf("Read(11) = %v, %v", got, err)
+	}
+}
+
+// appendToSegment appends raw bytes to the newest segment file in dir.
+func appendToSegment(t *testing.T, dir string, b []byte) {
+	t.Helper()
+	files := segFiles(t, dir)
+	f, err := os.OpenFile(filepath.Join(dir, files[len(files)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -255,45 +316,9 @@ func TestDiskStoreNVRAMTooSmall(t *testing.T) {
 	}
 }
 
-func TestFileStoreRestartRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = record.ClientID(3)
-	for i := record.LSN(1); i <= 40; i++ {
-		if err := s.Append(c, rec(i, 2, fmt.Sprintf("v-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for i := record.LSN(1); i <= 40; i++ {
-		got, err := s2.Read(c, i)
-		if err != nil || string(got.Data) != fmt.Sprintf("v-%d", i) {
-			t.Fatalf("Read(%d) = %v, %v", i, got, err)
-		}
-	}
-	lsn, epoch := s2.LastKey(c)
-	if lsn != 40 || epoch != 2 {
-		t.Fatalf("LastKey = %d,%d", lsn, epoch)
-	}
-}
-
-func TestFileStoreTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
+func TestSegStoreTornTailTruncated(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,20 +331,12 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 	s.Close()
 
 	// Simulate a crash mid-append: append half a frame of garbage.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{kindRecord, 0, 0, 0, 50, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendToSegment(t, dir, []byte{kindRecord, 0, 0, 0, 50, 1, 2, 3})
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	for i := record.LSN(1); i <= 10; i++ {
 		if _, err := s2.Read(c, i); err != nil {
 			t.Fatalf("Read(%d): %v", i, err)
@@ -331,7 +348,7 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	s3, err := OpenFileStore(path)
+	s3, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +359,9 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 	}
 }
 
-func TestFileStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
+func TestSegStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +374,7 @@ func TestFileStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
 	}
 	s.Close() // no InstallCopies
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +450,8 @@ func BenchmarkDiskStoreAppendForce(b *testing.B) {
 	}
 }
 
-func BenchmarkFileStoreAppendForce(b *testing.B) {
-	s, err := OpenFileStore(filepath.Join(b.TempDir(), "log"))
+func BenchmarkSegStoreAppendForce(b *testing.B) {
+	s, err := OpenSegStore(b.TempDir(), SegOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,4 +467,118 @@ func BenchmarkFileStoreAppendForce(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// durableRigs opens each durable store over a medium that survives a
+// reopen: reopen closes (or crashes) the store and opens it again.
+func durableRigs(t *testing.T) map[string]func(t *testing.T) (Store, func() Store) {
+	return map[string]func(t *testing.T) (Store, func() Store){
+		"disk": func(t *testing.T) (Store, func() Store) {
+			rig := newDiskRig(t, 512)
+			s := rig.open(t)
+			return s, func() Store {
+				rig.crash(s)
+				s = rig.open(t)
+				return s
+			}
+		},
+		"seg": func(t *testing.T) (Store, func() Store) {
+			dir := t.TempDir()
+			open := func() *SegStore {
+				s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s := open()
+			return s, func() Store {
+				s.Close()
+				s = open()
+				return s
+			}
+		},
+	}
+}
+
+// An install whose epoch is below the client's last stored epoch — a
+// late retransmit from a dead incarnation, or a hostile client — is
+// refused and leaves nothing behind: the store still reopens.
+func TestDeadInstallWritesNothing(t *testing.T) {
+	for name, mk := range durableRigs(t) {
+		t.Run(name, func(t *testing.T) {
+			s, reopen := mk(t)
+			const c = record.ClientID(1)
+			for i := record.LSN(1); i <= 3; i++ {
+				if err := s.Append(c, rec(i, 1, "x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.StageCopy(c, rec(3, 2, "copy")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append(c, rec(4, 3, "y")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.InstallCopies(c, 2); !errors.Is(err, record.ErrEpochRegression) {
+				t.Fatalf("InstallCopies(@2) after epoch 3 = %v, want ErrEpochRegression", err)
+			}
+			s = reopen()
+			defer s.Close()
+			assertDeadStageIgnored(t, s, c)
+		})
+	}
+}
+
+// assertDeadStageIgnored checks the state left by the dead-install
+// scenario: LSNs 1–3 at epoch 1, LSN 4 at epoch 3.
+func assertDeadStageIgnored(t *testing.T, s Store, c record.ClientID) {
+	t.Helper()
+	if got, err := s.Read(c, 3); err != nil || got.Epoch != 1 {
+		t.Fatalf("Read(3) = %v, %v; the dead copy was installed", got, err)
+	}
+	if lsn, epoch := s.LastKey(c); lsn != 4 || epoch != 3 {
+		t.Fatalf("LastKey = %d@%d, want 4@3", lsn, epoch)
+	}
+	if err := s.Append(c, rec(5, 3, "z")); err != nil {
+		t.Fatalf("Append after reopen: %v", err)
+	}
+}
+
+// A stream written before dead installs were refused still holds their
+// frames: a copy staged at epoch 2 before the epoch advanced, one staged
+// after it, and the install marker for epoch 2. Replay must open it and
+// treat the marker as a no-op.
+func TestReplayIgnoresDeadInstallMarker(t *testing.T) {
+	const c = record.ClientID(1)
+	var stream []byte
+	for i := record.LSN(1); i <= 3; i++ {
+		stream = encodeRecordEntry(stream, kindRecord, c, rec(i, 1, "x"))
+	}
+	stream = encodeRecordEntry(stream, kindStagedCopy, c, rec(3, 2, "copy"))
+	stream = encodeRecordEntry(stream, kindRecord, c, rec(4, 3, "y"))
+	stream = encodeRecordEntry(stream, kindStagedCopy, c, rec(2, 2, "late-copy"))
+	stream = encodeInstallEntry(stream, c, 2)
+
+	t.Run("disk", func(t *testing.T) {
+		rig := newDiskRig(t, 512)
+		if err := rig.nv.Append(stream); err != nil {
+			t.Fatal(err)
+		}
+		s := rig.open(t)
+		defer s.Close()
+		assertDeadStageIgnored(t, s, c)
+	})
+	t.Run("seg", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segFileName(0)), stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSegStore(dir, SegOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		assertDeadStageIgnored(t, s, c)
+	})
 }

@@ -13,12 +13,13 @@ import (
 	"distlog/internal/retention"
 )
 
-// TestDifferentialBackends drives the memory, simulated-disk, file, and
-// segmented backends with the same random operation sequence and
-// requires every observable — append outcomes, reads, range reads,
-// interval lists, last keys — to agree exactly. The memory store is
+// TestDifferentialBackends drives the memory store and the engine on
+// both media (simulated disk, segment files) with the same random
+// operation sequence and requires every observable — append outcomes,
+// reads, range reads, interval lists, last keys — to agree exactly. The
+// memory store shares only the index rules with the engine and is
 // simple enough to review by eye; agreement transfers that confidence
-// to the device-backed stores. A second segmented store runs over a
+// to the engine. A second segmented store runs over a
 // real archive tier and is compacted, retired and reopened as it goes,
 // so its reads keep crossing the hot/cold boundary.
 func TestDifferentialBackends(t *testing.T) {
@@ -43,10 +44,6 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "log"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Segments of a few frames each, so range reads cross extents.
 	ss, err := OpenSegStore(filepath.Join(t.TempDir(), "seg"), SegOptions{SegmentBytes: 256})
 	if err != nil {
@@ -67,7 +64,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 	}
 	cold, arch := openCold()
 	defer func() { arch.Close() }()
-	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "file": fs, "seg": ss, "cold": cold}
+	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "seg": ss, "cold": cold}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -90,7 +87,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 		var wantOut string
 		var wantErr error
 		first := true
-		for _, name := range []string{"mem", "disk", "file", "seg", "cold"} {
+		for _, name := range []string{"mem", "disk", "seg", "cold"} {
 			out, err := fn(stores[name])
 			if first {
 				wantOut, wantErr, first = out, err, false

@@ -23,7 +23,7 @@ type instrumentedStore struct {
 
 // Instrument wraps store so its appends, forces, and truncations are
 // counted under "storage.<backend>." metric families (e.g. backend
-// "file" yields storage.file.forces). A nil registry returns the store
+// "seg" yields storage.seg.forces). A nil registry returns the store
 // unwrapped.
 func Instrument(store Store, reg *telemetry.Registry, backend string) Store {
 	if reg == nil {

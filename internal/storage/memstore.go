@@ -13,28 +13,17 @@ import (
 // protocol tests and benchmarks that want to exclude device effects.
 type MemStore struct {
 	mu      sync.Mutex
-	clients map[record.ClientID]*clientIndex
+	ix      *logIndex
 	records map[record.ClientID][]record.Record
-	stage   *stage
 	closed  bool
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		clients: make(map[record.ClientID]*clientIndex),
+		ix:      newLogIndex(),
 		records: make(map[record.ClientID][]record.Record),
-		stage:   newStage(),
 	}
-}
-
-func (m *MemStore) client(c record.ClientID) *clientIndex {
-	ci := m.clients[c]
-	if ci == nil {
-		ci = newClientIndex()
-		m.clients[c] = ci
-	}
-	return ci
 }
 
 // Append implements Store.
@@ -44,9 +33,8 @@ func (m *MemStore) Append(c record.ClientID, rec record.Record) error {
 	if m.closed {
 		return ErrClosed
 	}
-	ci := m.client(c)
 	loc := int64(len(m.records[c]))
-	if err := ci.addNormal(rec, loc); err != nil {
+	if err := m.ix.appendRecord(c, rec, loc); err != nil {
 		return err
 	}
 	m.records[c] = append(m.records[c], rec.Clone())
@@ -84,7 +72,7 @@ func (m *MemStore) readLocked(c record.ClientID, lsn record.LSN) (record.Record,
 	if m.closed {
 		return record.Record{}, ErrClosed
 	}
-	ref, err := lookupRef(m.clients, c, lsn)
+	ref, err := lookupRef(m.ix.clients, c, lsn)
 	if err != nil {
 		return record.Record{}, err
 	}
@@ -95,31 +83,21 @@ func (m *MemStore) readLocked(c record.ClientID, lsn record.LSN) (record.Record,
 func (m *MemStore) Intervals(c record.ClientID) []record.Interval {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ci := m.clients[c]
-	if ci == nil {
-		return nil
-	}
-	out := make([]record.Interval, len(ci.intervals))
-	copy(out, ci.intervals)
-	return out
+	return m.ix.intervals(c)
 }
 
 // LastKey implements Store.
 func (m *MemStore) LastKey(c record.ClientID) (record.LSN, record.Epoch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ci := m.clients[c]
-	if ci == nil {
-		return 0, 0
-	}
-	return ci.lastLSN, ci.lastEpoch
+	return m.ix.lastKey(c)
 }
 
 // Clients implements Store.
 func (m *MemStore) Clients() []record.ClientID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return sortedClients(m.clients)
+	return sortedClients(m.ix.clients)
 }
 
 // StageCopy implements Store.
@@ -129,7 +107,11 @@ func (m *MemStore) StageCopy(c record.ClientID, rec record.Record) error {
 	if m.closed {
 		return ErrClosed
 	}
-	return m.stage.add(c, rec, -1)
+	if err := m.ix.checkStage(c, rec); err != nil {
+		return err
+	}
+	m.ix.stage.add(c, rec, -1)
+	return nil
 }
 
 // InstallCopies implements Store.
@@ -139,19 +121,16 @@ func (m *MemStore) InstallCopies(c record.ClientID, epoch record.Epoch) error {
 	if m.closed {
 		return ErrClosed
 	}
-	staged := m.stage.take(c, epoch)
-	if len(staged) == 0 {
-		return ErrNoStagedCopies
+	staged, err := m.ix.takeStage(c, epoch)
+	if err != nil {
+		return err
 	}
-	ci := m.client(c)
 	for _, sr := range staged {
 		if err := faultpoint.HitErr(FPInstallPartial); err != nil {
 			return err
 		}
 		loc := int64(len(m.records[c]))
-		if err := ci.addInstalled(sr.rec, loc); err != nil {
-			return err
-		}
+		m.ix.install(c, sr.rec, loc)
 		m.records[c] = append(m.records[c], sr.rec)
 	}
 	return nil
@@ -165,7 +144,7 @@ func (m *MemStore) Truncate(c record.ClientID, before record.LSN) error {
 	if m.closed {
 		return ErrClosed
 	}
-	ci := m.clients[c]
+	ci := m.ix.clients[c]
 	if ci == nil {
 		return ErrNotStored
 	}

@@ -11,17 +11,18 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"distlog/internal/faultpoint"
 	"distlog/internal/record"
 )
 
 // SegStore is the log server's long-running durable backend (Section
-// 5.3, log space management): the same interleaved stream FileStore
-// appends to one file is cut into fixed-capacity segment files, so
-// space can be returned to the filesystem a whole segment at a time.
-// When an append would overflow the active segment, the segment is
-// synced, sealed, and a new one opened; sealed segments are immutable.
+// 5.3, log space management): the engine's stream is cut into
+// fixed-capacity segment files, so space can be returned to the
+// filesystem a whole segment at a time. When an append would overflow
+// the active segment, the segment is synced, sealed, and a new one
+// opened; sealed segments are immutable.
 //
 // Reclamation works on the oldest sealed segment: records still live
 // (at or above their client's truncation point) are migrated into the
@@ -36,7 +37,9 @@ import (
 // s.mu is never held across a call into the archive: archive I/O
 // (syncs, retirement rewrites) must not queue appends and forces.
 type SegStore struct {
-	mu sync.Mutex
+	engine
+	segs *segments
+
 	// compactMu serializes CompactOnce passes. It is never taken by the
 	// foreground paths, so compaction's fsyncs (archive, manifest)
 	// cannot stall an append or force.
@@ -47,26 +50,13 @@ type SegStore struct {
 	floorMu sync.Mutex
 	floors  map[record.ClientID]record.LSN
 
-	dir  string
 	opts SegOptions
 
-	segs     []*segment // base-ascending; the last is the active tail
-	boundary int64      // stream offset below which segments were folded away
-
-	// baseMeta is the replay state at the boundary: what the manifest
+	// baseMeta is the index at the boundary: what the manifest
 	// serializes, and what folded segments are applied to. It advances
-	// only during compaction; the live indexes below are always ahead
-	// of (or equal to) it.
-	baseMeta *replayState
-
-	clients map[record.ClientID]*clientIndex
-	stage   *stage
-
-	dirty     bool
-	appendGen uint64 // bumped per append; Force clears dirty only if unchanged
-	closed    bool
-
-	scratch []byte
+	// only during compaction; the live index is always ahead of (or
+	// equal to) it.
+	baseMeta *logIndex
 }
 
 // SegOptions configures OpenSegStore.
@@ -100,6 +90,17 @@ type segment struct {
 
 func (g *segment) end() int64 { return g.base + g.size }
 
+// segments is SegStore's medium: the stream as a run of segment files,
+// each starting where the one before it ends. The list changes under
+// the engine mutex; sync reaches the active file through an atomic so
+// it can run without that mutex.
+type segments struct {
+	dir      string
+	capacity int64
+	list     []*segment // base-ascending; the last is the active tail
+	tail     atomic.Pointer[os.File]
+}
+
 const segManifestName = "MANIFEST"
 
 func segFileName(base int64) string {
@@ -130,9 +131,6 @@ func OpenSegStore(dir string, opts SegOptions) (*SegStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SegStore{dir: dir, opts: opts, boundary: man.boundary, baseMeta: man.seed()}
-	live := man.seed()
-
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -155,38 +153,42 @@ func OpenSegStore(dir string, opts SegOptions) (*SegStore, error) {
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 
+	segs := &segments{dir: dir, capacity: opts.SegmentBytes}
+	live := man.seed()
 	next := man.boundary
 	for i, base := range bases {
 		if base != next {
+			segs.close()
 			return nil, fmt.Errorf("storage: segment gap in %s: want base %d, have %d", dir, next, base)
 		}
-		g, err := s.openSegment(base)
+		g, err := segs.open(base)
+		if err == nil {
+			err = g.replay(live, i == len(bases)-1)
+		}
 		if err != nil {
-			s.closeFiles()
+			segs.close()
 			return nil, err
 		}
-		last := i == len(bases)-1
-		if err := s.replaySegment(live, g, last); err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		g.sealed = !last
-		s.segs = append(s.segs, g)
 		next = g.end()
 	}
-	if len(s.segs) == 0 {
-		g, err := s.createSegment(man.boundary)
-		if err != nil {
+	if len(segs.list) == 0 {
+		if _, err := segs.create(man.boundary); err != nil {
 			return nil, err
 		}
-		s.segs = append(s.segs, g)
 	}
-	s.clients = live.clients
-	s.stage = live.stage
+	s := &SegStore{
+		engine:   engine{m: segs, ix: live, boundary: man.boundary, end: next},
+		segs:     segs,
+		opts:     opts,
+		baseMeta: man.seed(),
+	}
+	if opts.Archive != nil {
+		s.cold = s.readArchive
+	}
 	// Re-assert the replayed truncation floors on the cold tier, so an
 	// archive that lost its in-memory floors to the crash clamps reads
 	// again before anything is looked up.
-	for c, ci := range s.clients {
+	for c, ci := range live.clients {
 		s.noteFloor(c, ci.truncated)
 	}
 	return s, nil
@@ -224,8 +226,18 @@ func (s *SegStore) passFloors() error {
 	return nil
 }
 
-func (s *SegStore) openSegment(base int64) (*segment, error) {
-	path := filepath.Join(s.dir, segFileName(base))
+// readArchive is the engine's cold tier: the archive, once it has the
+// floors noted since its last call.
+func (s *SegStore) readArchive(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
+	if err := s.passFloors(); err != nil {
+		return nil, err
+	}
+	return s.opts.Archive.ReadRange(c, from, to, maxBytes)
+}
+
+// open adds the existing segment file at base to the list as its tail.
+func (m *segments) open(base int64) (*segment, error) {
+	path := filepath.Join(m.dir, segFileName(base))
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -235,457 +247,110 @@ func (s *SegStore) openSegment(base int64) (*segment, error) {
 		f.Close()
 		return nil, err
 	}
-	return &segment{base: base, size: info.Size(), f: f, path: path}, nil
+	if n := len(m.list); n > 0 {
+		m.list[n-1].sealed = true
+	}
+	g := &segment{base: base, size: info.Size(), f: f, path: path}
+	m.list = append(m.list, g)
+	m.tail.Store(f)
+	return g, nil
 }
 
-func (s *SegStore) createSegment(base int64) (*segment, error) {
-	path := filepath.Join(s.dir, segFileName(base))
+// create starts a fresh segment at base as the list's tail.
+func (m *segments) create(base int64) (*segment, error) {
+	path := filepath.Join(m.dir, segFileName(base))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	syncDir(s.dir)
-	return &segment{base: base, f: f, path: path}, nil
+	syncDir(m.dir)
+	g := &segment{base: base, f: f, path: path}
+	m.list = append(m.list, g)
+	m.tail.Store(f)
+	return g, nil
 }
 
-// replaySegment applies one segment's frames to the replay state. Only
-// the final (active) segment may carry a torn tail frame — it is
-// truncated away, exactly as FileStore recovers. A torn frame in a
-// sealed segment is corruption: seals sync before the next segment
-// accepts a byte, so a crash can never tear anything but the tail.
-func (s *SegStore) replaySegment(rs *replayState, g *segment, last bool) error {
+// replay applies the segment's frames to the index. Only the final
+// (active) segment may carry a torn tail frame — it is truncated away,
+// which is safe because a frame is made stable, and so acknowledged,
+// only by a completed Force. A torn frame in a sealed segment is
+// corruption: seals sync before the next segment accepts a byte, so a
+// crash can never tear anything but the tail.
+func (g *segment) replay(ix *logIndex, last bool) error {
 	data := make([]byte, g.size)
-	if g.size > 0 {
-		if _, err := g.f.ReadAt(data, 0); err != nil {
+	if _, err := g.f.ReadAt(data, 0); err != nil {
+		return err
+	}
+	end, err := eachFrame(data, g.base, ix.apply)
+	if err != nil && !(last && errors.Is(err, ErrBadFrame)) {
+		return fmt.Errorf("storage: segment replay %s %w", g.path, err)
+	}
+	if end < g.end() {
+		if err := g.f.Truncate(end - g.base); err != nil {
 			return err
 		}
-	}
-	off := int64(0)
-	for off < g.size {
-		e, n, err := decodeFrame(data[off:])
-		if err != nil || n == 0 {
-			if !last {
-				return fmt.Errorf("storage: corrupt frame in sealed segment %s at %d: %v", g.path, off, err)
-			}
-			break
-		}
-		if err := rs.apply(e, g.base+off); err != nil {
-			return fmt.Errorf("storage: segment replay %s at %d: %w", g.path, off, err)
-		}
-		off += int64(n)
-	}
-	if off < g.size {
-		if err := g.f.Truncate(off); err != nil {
-			return err
-		}
-		g.size = off
+		g.size = end - g.base
 	}
 	return nil
 }
 
-func (s *SegStore) closeFiles() {
-	for _, g := range s.segs {
-		g.f.Close()
-	}
-}
+func (m *segments) active() *segment { return m.list[len(m.list)-1] }
 
-func (s *SegStore) active() *segment { return s.segs[len(s.segs)-1] }
-
-func (s *SegStore) client(c record.ClientID) *clientIndex {
-	ci := s.clients[c]
-	if ci == nil {
-		ci = newClientIndex()
-		s.clients[c] = ci
-	}
-	return ci
-}
-
-// sealActiveLocked syncs and seals the active segment and opens a
-// fresh one after it. Caller holds s.mu.
-func (s *SegStore) sealActiveLocked() error {
-	a := s.active()
-	if err := a.f.Sync(); err != nil {
-		return err
-	}
-	a.sealed = true
-	faultpoint.Hit(FPSegmentSeal)
-	g, err := s.createSegment(a.end())
-	if err != nil {
-		return err
-	}
-	s.segs = append(s.segs, g)
-	return nil
-}
-
-func (s *SegStore) appendEntry(entry []byte) (int64, error) {
-	a := s.active()
-	if a.size > 0 && a.size+int64(len(entry)) > s.opts.SegmentBytes {
-		if err := s.sealActiveLocked(); err != nil {
+// append writes the frame to the active segment, first sealing it and
+// opening a fresh one when the frame would overflow it.
+func (m *segments) append(frame []byte) (int64, error) {
+	a := m.active()
+	if a.size > 0 && a.size+int64(len(frame)) > m.capacity {
+		if err := a.f.Sync(); err != nil {
 			return 0, err
 		}
-		a = s.active()
+		a.sealed = true
+		faultpoint.Hit(FPSegmentSeal)
+		var err error
+		if a, err = m.create(a.end()); err != nil {
+			return 0, err
+		}
 	}
-	loc := a.base + a.size
-	if _, err := a.f.WriteAt(entry, a.size); err != nil {
+	loc := a.end()
+	if _, err := a.f.WriteAt(frame, a.size); err != nil {
 		return 0, err
 	}
-	a.size += int64(len(entry))
-	s.dirty = true
-	s.appendGen++
+	a.size += int64(len(frame))
 	return loc, nil
 }
 
-// Append implements Store.
-func (s *SegStore) Append(c record.ClientID, rec record.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	ci := s.client(c)
-	if err := record.ValidateAppend(ci.lastLSN, ci.lastEpoch, rec); err != nil {
-		return err
-	}
-	s.scratch = encodeRecordEntry(s.scratch[:0], kindRecord, c, rec)
-	loc, err := s.appendEntry(s.scratch)
-	if err != nil {
-		return err
-	}
-	ci.index(rec, loc)
-	return nil
-}
+// sync fsyncs the active segment; sealed segments were synced when they
+// sealed.
+func (m *segments) sync() error { return m.tail.Load().Sync() }
 
-// Force implements Store: fsync the active segment (sealed segments
-// were synced when they sealed). The mutex is released for the fsync
-// itself, with the same generation guard FileStore uses, so concurrent
-// appenders can join a server-side force group while the device waits.
-func (s *SegStore) Force() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	faultpoint.Hit(FPForce)
-	if !s.dirty {
-		s.mu.Unlock()
-		return nil
-	}
-	gen := s.appendGen
-	f := s.active().f
-	s.mu.Unlock()
-	err := f.Sync()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil {
-		if s.closed {
-			return ErrClosed
+// readAt reads across as many segments as p spans.
+func (m *segments) readAt(p []byte, off int64) error {
+	i := sort.Search(len(m.list), func(i int) bool { return m.list[i].end() > off })
+	for n := 0; n < len(p); i++ {
+		if i == len(m.list) || m.list[i].base > off {
+			return fmt.Errorf("storage: offset %d not in any live segment", off)
 		}
-		return err
-	}
-	if s.appendGen == gen && s.active().f == f {
-		s.dirty = false
-	}
-	return nil
-}
-
-// Read implements Store.
-func (s *SegStore) Read(c record.ClientID, lsn record.LSN) (record.Record, error) {
-	recs, err := s.ReadRange(c, lsn, lsn, 0)
-	if err != nil {
-		return record.Record{}, err
-	}
-	return recs[0], nil
-}
-
-// ReadRange implements Store. The index routes every LSN: hot records
-// are decoded out of one pread per contiguous extent of the stream
-// rather than two per record (a client's consecutive LSNs sit at
-// ascending offsets, adjacent unless another client's appends
-// interleave), and each stretch of LSNs the index places in the archive
-// is handed to it as one range, with s.mu released for the archive's
-// I/O.
-func (s *SegStore) ReadRange(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
-	g := rangeGather{to: to, back: to < from, maxBytes: maxBytes}
-	ext := extent{span: max(2*maxBytes, 4096), backward: g.back}
-	for lsn := from; ; {
-		s.mu.Lock()
-		run, done, err := s.readHotLocked(c, &g, &ext, lsn)
-		s.mu.Unlock()
-		if err == nil && !done {
-			done, err = s.readCold(c, &g, run)
-		}
-		if err != nil {
-			return g.fail(err)
-		}
-		if done {
-			return g.out, nil
-		}
-		lsn = g.next(run.to)
-	}
-}
-
-// Where the index places an LSN.
-const (
-	nowhere        = iota
-	inSegment      // at a live segment offset
-	inArchive      // at an offset below the fold boundary: the archive holds it
-	maybeInArchive // not indexed (a reopened index covers only the hot tier) but not truncated either: the archive holds it or nothing does
-)
-
-func (s *SegStore) locate(ci *clientIndex, lsn record.LSN) (int, entryRef) {
-	ref, ok := ci.lookup(lsn)
-	switch {
-	case ok && ref.loc >= s.boundary:
-		return inSegment, ref
-	case ok:
-		return inArchive, ref
-	case s.opts.Archive != nil && lsn >= ci.truncated && lsn <= ci.lastLSN:
-		return maybeInArchive, ref
-	}
-	return nowhere, ref
-}
-
-// coldRun is a stretch of consecutive LSNs the index routes to the
-// archive.
-type coldRun struct {
-	from, to record.LSN
-	indexed  bool // from is inArchive: the archive must hold it
-}
-
-// maxColdRun bounds how many LSNs one cold run covers.
-const maxColdRun = 1024
-
-// readHotLocked serves the range from lsn on out of the segments until
-// it is done or reaches an LSN the archive must serve, and returns the
-// cold run starting there. Caller holds s.mu.
-func (s *SegStore) readHotLocked(c record.ClientID, g *rangeGather, ext *extent, lsn record.LSN) (coldRun, bool, error) {
-	if s.closed {
-		return coldRun{}, true, ErrClosed
-	}
-	ci := s.clients[c]
-	if ci == nil {
-		return coldRun{}, true, ErrNotStored
-	}
-	for ; ; lsn = g.next(lsn) {
-		where, ref := s.locate(ci, lsn)
-		switch where {
-		case nowhere:
-			return coldRun{}, true, ErrNotStored
-		case inSegment:
-			e, err := s.fetchEntry(ref.loc, ext)
-			if err != nil {
-				return coldRun{}, true, err
-			}
-			if g.add(e.rec) {
-				return coldRun{}, true, nil
-			}
-			continue
-		}
-		run := coldRun{from: lsn, to: lsn, indexed: where == inArchive}
-		for n := 1; run.to != g.to && n < maxColdRun; n++ {
-			if w, _ := s.locate(ci, g.next(run.to)); w != inArchive && w != maybeInArchive {
-				break
-			}
-			run.to = g.next(run.to)
-		}
-		return run, false, nil
-	}
-}
-
-// readCold serves a cold run from the archive and reports whether the
-// range is done. Called without s.mu.
-func (s *SegStore) readCold(c record.ClientID, g *rangeGather, run coldRun) (bool, error) {
-	if s.opts.Archive == nil {
-		return true, fmt.Errorf("storage: LSN %d archived but no archive tier configured", run.from)
-	}
-	if err := s.passFloors(); err != nil {
-		return true, err
-	}
-	recs, err := s.opts.Archive.ReadRange(c, run.from, run.to, g.maxBytes-g.size)
-	if err != nil {
-		return true, err
-	}
-	if len(recs) == 0 {
-		if run.indexed {
-			return true, fmt.Errorf("storage: LSN %d below fold boundary but missing from archive", run.from)
-		}
-		return true, ErrNotStored
-	}
-	want := run.from
-	for _, rec := range recs {
-		if rec.LSN != want {
-			return true, fmt.Errorf("storage: archive returned LSN %d for %d", rec.LSN, want)
-		}
-		if g.add(rec) {
-			return true, nil
-		}
-		want = g.next(want)
-	}
-	// A run the archive served only in part ends the range: the next
-	// LSN is one the archive does not hold.
-	return recs[len(recs)-1].LSN != run.to, nil
-}
-
-// extent is a window of one segment's bytes held across the reads of a
-// ReadRange call.
-type extent struct {
-	span     int  // bytes per window
-	backward bool // the scan descends: a window ends with the frame that missed
-	base     int64
-	buf      []byte
-}
-
-// frameAt returns the complete frame at absolute offset loc, if the
-// window holds all of it.
-func (x *extent) frameAt(loc int64) ([]byte, bool) {
-	off := loc - x.base
-	if off < 0 || off+frameOverhead > int64(len(x.buf)) {
-		return nil, false
-	}
-	end := off + frameOverhead + int64(binary.BigEndian.Uint32(x.buf[off+1:off+5]))
-	if end > int64(len(x.buf)) {
-		return nil, false
-	}
-	return x.buf[off:end], true
-}
-
-// fetchEntry reads and decodes the frame at the absolute offset: a
-// header read and a frame read. With an extent, a miss instead reads a
-// window of the segment positioned to cover the frames the scan reaches
-// next — forward in a single read, backward after the header read that
-// tells where the frame (and so the window) ends. Caller holds s.mu.
-func (s *SegStore) fetchEntry(loc int64, ext *extent) (streamEntry, error) {
-	if ext != nil {
-		if frame, ok := ext.frameAt(loc); ok {
-			e, _, err := decodeFrame(frame)
-			return e, err
-		}
-	}
-	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].end() > loc })
-	if i == len(s.segs) || s.segs[i].base > loc {
-		return streamEntry{}, fmt.Errorf("storage: offset %d not in any live segment", loc)
-	}
-	g := s.segs[i]
-	if ext != nil && !ext.backward {
-		ext.base, ext.buf = loc, make([]byte, min(g.end()-loc, int64(ext.span)))
-		if _, err := g.f.ReadAt(ext.buf, loc-g.base); err != nil {
-			return streamEntry{}, err
-		}
-		if frame, ok := ext.frameAt(loc); ok {
-			e, _, err := decodeFrame(frame)
-			return e, err
-		}
-		// A frame longer than the window: read it exactly, below.
-	}
-	var header [frameOverhead]byte
-	if _, err := g.f.ReadAt(header[:], loc-g.base); err != nil {
-		return streamEntry{}, err
-	}
-	frameEnd := loc + frameOverhead + int64(binary.BigEndian.Uint32(header[1:5]))
-	lo := loc
-	if ext != nil && ext.backward {
-		lo = max(g.base, min(loc, frameEnd-int64(ext.span)))
-	}
-	buf := make([]byte, frameEnd-lo)
-	if _, err := g.f.ReadAt(buf, lo-g.base); err != nil {
-		return streamEntry{}, err
-	}
-	if ext != nil && ext.backward {
-		ext.base, ext.buf = lo, buf
-	}
-	e, _, err := decodeFrame(buf[loc-lo:])
-	return e, err
-}
-
-// Intervals implements Store.
-func (s *SegStore) Intervals(c record.ClientID) []record.Interval {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ci := s.clients[c]
-	if ci == nil {
-		return nil
-	}
-	out := make([]record.Interval, len(ci.intervals))
-	copy(out, ci.intervals)
-	return out
-}
-
-// LastKey implements Store.
-func (s *SegStore) LastKey(c record.ClientID) (record.LSN, record.Epoch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ci := s.clients[c]
-	if ci == nil {
-		return 0, 0
-	}
-	return ci.lastLSN, ci.lastEpoch
-}
-
-// Clients implements Store.
-func (s *SegStore) Clients() []record.ClientID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedClients(s.clients)
-}
-
-// StageCopy implements Store.
-func (s *SegStore) StageCopy(c record.ClientID, rec record.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.scratch = encodeRecordEntry(s.scratch[:0], kindStagedCopy, c, rec)
-	loc, err := s.appendEntry(s.scratch)
-	if err != nil {
-		return err
-	}
-	return s.stage.add(c, rec, loc)
-}
-
-// InstallCopies implements Store. As in FileStore, the commit marker
-// is synced before the install is acknowledged.
-func (s *SegStore) InstallCopies(c record.ClientID, epoch record.Epoch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	staged := s.stage.take(c, epoch)
-	if len(staged) == 0 {
-		return ErrNoStagedCopies
-	}
-	s.scratch = encodeInstallEntry(s.scratch[:0], c, epoch)
-	if _, err := s.appendEntry(s.scratch); err != nil {
-		return err
-	}
-	if err := s.active().f.Sync(); err != nil {
-		return err
-	}
-	s.dirty = false
-	ci := s.client(c)
-	for _, sr := range staged {
-		if err := faultpoint.HitErr(FPInstallPartial); err != nil {
+		g := m.list[i]
+		k := int(min(int64(len(p)-n), g.end()-off))
+		if _, err := g.f.ReadAt(p[n:n+k], off-g.base); err != nil {
 			return err
 		}
-		if err := ci.addInstalled(sr.rec, sr.loc); err != nil {
-			return err
-		}
+		n += k
+		off += int64(k)
 	}
 	return nil
 }
 
-// DiscardStage drops every staging area for the client. A pending
-// stage pins the segments its copies were written to (CompactOnce
-// skips them); when a client restart abandons a recovery attempt, the
-// server can discard its stage so compaction is released. The discard
-// is volatile — replay after a crash re-stages the copies, and the
-// install marker they were waiting for never arrives, so they stay
-// un-indexed exactly as before.
-func (s *SegStore) DiscardStage(c record.ClientID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stage.discard(c)
+// close syncs the active segment and closes every file.
+func (m *segments) close() error {
+	var errs []error
+	if len(m.list) > 0 {
+		errs = append(errs, m.active().f.Sync())
+	}
+	for _, g := range m.list {
+		errs = append(errs, g.f.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Truncate implements Store. The truncation point is appended to the
@@ -694,40 +359,10 @@ func (s *SegStore) DiscardStage(c record.ClientID) {
 // volumes, but learns it only at the next archive call: this path
 // never waits on archive I/O.
 func (s *SegStore) Truncate(c record.ClientID, before record.LSN) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	floor, err := s.truncate(c, before)
+	if err == nil {
+		s.noteFloor(c, floor)
 	}
-	ci := s.clients[c]
-	if ci == nil {
-		return ErrNotStored
-	}
-	s.scratch = encodeTruncateEntry(s.scratch[:0], c, before)
-	if _, err := s.appendEntry(s.scratch); err != nil {
-		return err
-	}
-	ci.truncate(before)
-	s.noteFloor(c, ci.truncated)
-	return nil
-}
-
-// Checkpoint writes the interval lists of every client into the
-// stream, bounding how far a replay must scan to reconstruct them.
-func (s *SegStore) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	lists := make(map[record.ClientID][]record.Interval, len(s.clients))
-	for c, ci := range s.clients {
-		ivs := make([]record.Interval, len(ci.intervals))
-		copy(ivs, ci.intervals)
-		lists[c] = ivs
-	}
-	s.scratch = encodeCheckpointEntry(s.scratch[:0], lists)
-	_, err := s.appendEntry(s.scratch)
 	return err
 }
 
@@ -743,8 +378,8 @@ type archiveItem struct {
 // into the manifest (advancing the replay boundary), and the file is
 // deleted. It reports whether a segment was reclaimed. A segment
 // referenced by pending staged copies is skipped — the stage resolves
-// at the next InstallCopies or client restart, and compaction retries
-// then.
+// at the next InstallCopies, or dies when the client's epoch advances
+// past it, and compaction retries then.
 //
 // Crash ordering (audited by the retention.* faultpoints): archive
 // write + sync, then manifest advance, then file removal. A crash
@@ -772,14 +407,14 @@ func (s *SegStore) CompactOnce() (bool, error) {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	if len(s.segs) < 2 {
+	if len(s.segs.list) < 2 {
 		s.mu.Unlock()
 		return false, nil
 	}
-	victim := s.segs[0]
+	victim := s.segs.list[0]
 	// Pending staged copies referencing the victim pin it: their
 	// install must index data the segment still holds.
-	for _, m := range s.stage.records {
+	for _, m := range s.ix.stage.records {
 		for _, sr := range m {
 			if sr.loc >= victim.base && sr.loc < victim.end() {
 				s.mu.Unlock()
@@ -787,30 +422,24 @@ func (s *SegStore) CompactOnce() (bool, error) {
 			}
 		}
 	}
-	size := victim.size
-	f := victim.f
 	s.mu.Unlock()
 
 	// The victim is sealed and immutable: read and decode it without
 	// the lock.
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return false, err
-		}
+	data := make([]byte, victim.size)
+	if _, err := victim.f.ReadAt(data, 0); err != nil {
+		return false, err
 	}
 	type segEntry struct {
 		e   streamEntry
 		loc int64
 	}
 	var entries []segEntry
-	for off := int64(0); off < size; {
-		e, n, err := decodeFrame(data[off:])
-		if err != nil || n == 0 {
-			return false, fmt.Errorf("storage: corrupt frame in sealed segment %s at %d: %v", victim.path, off, err)
-		}
-		entries = append(entries, segEntry{e: e, loc: victim.base + off})
-		off += int64(n)
+	if _, err := eachFrame(data, victim.base, func(e streamEntry, loc int64) error {
+		entries = append(entries, segEntry{e: e, loc: loc})
+		return nil
+	}); err != nil {
+		return false, fmt.Errorf("storage: sealed segment %s %w", victim.path, err)
 	}
 
 	// Select the records the index still serves from this segment.
@@ -824,7 +453,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 		if se.e.kind != kindRecord && se.e.kind != kindStagedCopy {
 			continue
 		}
-		ci := s.clients[se.e.client]
+		ci := s.ix.clients[se.e.client]
 		if ci == nil {
 			continue
 		}
@@ -865,7 +494,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 		}
 	}
 	s.boundary = victim.end()
-	s.segs = s.segs[1:]
+	s.segs.list = s.segs.list[1:]
 	buf := s.encodeManifestLocked()
 	s.mu.Unlock()
 	// The manifest fsync happens outside s.mu so compaction never
@@ -889,7 +518,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 func (s *SegStore) Usage() Usage {
 	var u Usage
 	s.mu.Lock()
-	for _, g := range s.segs {
+	for _, g := range s.segs.list {
 		u.LiveBytes += g.size
 		u.Segments++
 		if g.sealed {
@@ -917,26 +546,6 @@ func (s *SegStore) Boundary() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.boundary
-}
-
-// Close implements Store, syncing and closing every segment.
-func (s *SegStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var errs []error
-	if err := s.active().f.Sync(); err != nil {
-		errs = append(errs, err)
-	}
-	for _, g := range s.segs {
-		if err := g.f.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // --- manifest ---------------------------------------------------------
@@ -972,8 +581,8 @@ type manifestStaged struct {
 // seed builds a fresh replay state representing the manifest: each
 // call returns independent instances, so the live index and the fold
 // base can both start from it.
-func (m *manifestState) seed() *replayState {
-	rs := newReplayState()
+func (m *manifestState) seed() *logIndex {
+	rs := newLogIndex()
 	for _, mc := range m.clients {
 		ci := newClientIndex()
 		ci.truncated = mc.truncated
@@ -986,7 +595,7 @@ func (m *manifestState) seed() *replayState {
 		rec := record.Record{LSN: ms.lsn, Epoch: ms.epoch, Present: ms.present}
 		// Data stays behind: the record's bytes are in the archive, and
 		// the index redirects reads of below-boundary offsets there.
-		_ = rs.stage.add(ms.client, rec, ms.loc)
+		rs.stage.add(ms.client, rec, ms.loc)
 	}
 	return rs
 }
@@ -1047,7 +656,7 @@ func (s *SegStore) encodeManifestLocked() []byte {
 // writeManifestFile durably replaces the manifest (tmp + fsync +
 // rename + directory sync).
 func (s *SegStore) writeManifestFile(buf []byte) error {
-	path := filepath.Join(s.dir, segManifestName)
+	path := filepath.Join(s.segs.dir, segManifestName)
 	tmp := path + ".tmp"
 	if err := writeFileSync(tmp, buf); err != nil {
 		return err
@@ -1056,7 +665,7 @@ func (s *SegStore) writeManifestFile(buf []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(s.dir)
+	syncDir(s.segs.dir)
 	return nil
 }
 

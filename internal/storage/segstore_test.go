@@ -395,11 +395,12 @@ func TestSegStoreCompactionSkipsTruncatedRecords(t *testing.T) {
 }
 
 func TestSegStoreCompactWithoutArchiveOnlyReclaimsDeadSegments(t *testing.T) {
-	s, err := OpenSegStore(t.TempDir(), SegOptions{SegmentBytes: 256})
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() { s.Close() }()
 	const c = record.ClientID(4)
 	fillSeg(t, s, c, 40)
 
@@ -429,6 +430,25 @@ func TestSegStoreCompactWithoutArchiveOnlyReclaimsDeadSegments(t *testing.T) {
 	}
 	if got, err := s.Read(c, 40); err != nil || string(got.Data) != "payload-0040" {
 		t.Fatalf("Read(40) = %v, %v", got, err)
+	}
+
+	// The compacted store stays usable and replays to the same state.
+	if err := s.Append(c, rec(41, 1, "post-compact")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, err = OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(c, 41); err != nil || string(got.Data) != "post-compact" {
+		t.Fatalf("Read(41) after reopen = %v, %v", got, err)
+	}
+	if _, err := s.Read(c, 20); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("Read(20) after reopen: %v", err)
+	}
+	if lsn, _ := s.LastKey(c); lsn != 41 {
+		t.Fatalf("LastKey after reopen = %d", lsn)
 	}
 }
 
@@ -483,11 +503,10 @@ func TestSegStoreCompactionPinnedByPendingStage(t *testing.T) {
 	}
 }
 
-// TestSegStoreInstallAfterVictimCompacted stages copies, fills past a
-// seal, compacts everything sealed, crashes before the install, and
-// verifies the reopened store replays the install marker from a live
-// segment while the staged data's segment is long gone — the index
-// redirects those below-boundary offsets to the archive.
+// TestSegStoreStagePinReleasedByClientRestartDiscard: a restarted
+// client installs at its new epoch, so the stage its crashed recovery
+// left behind can never install. The first record at the new epoch
+// drops it, and with it the pin on the segment it was written to.
 func TestSegStoreStagePinReleasedByClientRestartDiscard(t *testing.T) {
 	arch := newMemArchive()
 	s, err := OpenSegStore(t.TempDir(), SegOptions{SegmentBytes: 256, Archive: arch})
@@ -509,13 +528,69 @@ func TestSegStoreStagePinReleasedByClientRestartDiscard(t *testing.T) {
 	if ok, _ := s.CompactOnce(); ok {
 		t.Fatal("compaction proceeded despite pending stage")
 	}
-	s.DiscardStage(c)
+	// The client restarts at epoch 3.
+	if err := s.Append(c, rec(41, 3, "restarted")); err != nil {
+		t.Fatal(err)
+	}
 	ok, err := s.CompactOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatal("discarding the stage did not release the compaction pin")
+		t.Fatal("the epoch advance did not release the compaction pin")
+	}
+	if err := s.InstallCopies(c, 2); !errors.Is(err, record.ErrEpochRegression) {
+		t.Fatalf("InstallCopies of the dead stage = %v, want ErrEpochRegression", err)
+	}
+}
+
+// TestSegStoreDeadStageDoesNotPinCompaction is the crashed-recovery
+// scenario at scale, live and across a reopen: a stage at epoch 2 left
+// behind while the client wrote on at epoch 3 must not keep the oldest
+// segment — and so every segment after it — from being reclaimed.
+func TestSegStoreDeadStageDoesNotPinCompaction(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			const c = record.ClientID(7)
+			for i := record.LSN(1); i <= 2; i++ {
+				if err := s.Append(c, rec(i, 1, "before")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.StageCopy(c, rec(3, 2, "crashed-recovery")); err != nil {
+				t.Fatal(err)
+			}
+			for i := record.LSN(4); i <= 200; i++ {
+				if err := s.Append(c, rec(i, 3, fmt.Sprintf("payload-%04d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Truncate(c, 190); err != nil {
+				t.Fatal(err)
+			}
+			if reopen {
+				s.Close()
+				if s, err = OpenSegStore(dir, SegOptions{SegmentBytes: 256}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Only the few segments holding LSNs 190–200 must stay.
+			sealed := s.Usage().SealedSegments
+			if got := compactAll(t, s); got < sealed-3 {
+				t.Fatalf("reclaimed %d of %d sealed segments", got, sealed)
+			}
+			for i := record.LSN(190); i <= 200; i++ {
+				if got, err := s.Read(c, i); err != nil || got.Epoch != 3 {
+					t.Fatalf("Read(%d) = %v, %v", i, got, err)
+				}
+			}
+		})
 	}
 }
 
@@ -631,5 +706,57 @@ func TestSegStoreUsageAccounting(t *testing.T) {
 	u = s.Usage()
 	if u.ReclaimableBytes != 0 || u.ArchivedBytes == 0 {
 		t.Fatalf("compacted store usage = %+v", u)
+	}
+}
+
+// Force syncs the active segment without the store mutex while other
+// clients append and seal segments under it; every record a Force
+// covered must survive the reopen.
+func TestSegStoreForceRacesSeals(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := record.ClientID(1); c <= clients; c++ {
+		wg.Add(1)
+		go func(c record.ClientID) {
+			defer wg.Done()
+			for i := record.LSN(1); i <= perClient; i++ {
+				if err := s.Append(c, rec(i, 1, fmt.Sprintf("c%d-%d", c, i))); err != nil {
+					errs <- err
+					return
+				}
+				if err := s.Force(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, err = OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for c := record.ClientID(1); c <= clients; c++ {
+		recs, err := s.ReadRange(c, 1, perClient, 1<<20)
+		if err != nil || len(recs) != perClient {
+			t.Fatalf("client %d: %d records, %v", c, len(recs), err)
+		}
+		for _, r := range recs {
+			if want := fmt.Sprintf("c%d-%d", c, r.LSN); string(r.Data) != want {
+				t.Fatalf("client %d LSN %d = %q, want %q", c, r.LSN, r.Data, want)
+			}
+		}
 	}
 }

@@ -1,24 +1,28 @@
 // Package storage implements the log server's stable storage (Section
 // 4.3): an interleaved, append-only stream of log records from many
 // clients, indexed per client by an append-forest, with interval lists
-// kept in volatile memory and checkpointed periodically.
+// kept in volatile memory.
 //
-// Three backends share one entry format and one conformance contract:
+// One engine implements the Store methods over a narrow medium
+// interface, and two durable stores put it on a medium:
 //
-//   - MemStore keeps everything in memory (no durability; protocol
-//     tests and the paper's "second stage" prototype, which stored log
-//     data in server virtual memory).
+//   - SegStore cuts the stream into segment files with fsync-on-force,
+//     and reclaims whole segments into an archive tier (Section 5.3);
+//     the standalone UDP server daemon runs it.
 //   - DiskStore layers the stream on the simulated track disk behind a
-//     battery-backed NVRAM buffer: appends and forces complete at
-//     memory speed, full tracks are drained to disk, and all committed
-//     data survives a power failure.
-//   - FileStore appends the same stream to an ordinary file with
-//     fsync-on-force, for the standalone UDP server daemon.
+//     battery-backed NVRAM buffer (Section 5.1): appends and forces
+//     complete at memory speed, full tracks are drained to disk, and
+//     all committed data survives a power failure.
+//
+// MemStore keeps records in memory without framing (no durability;
+// protocol tests and the paper's "second stage" prototype, which stored
+// log data in server virtual memory). It shares only the index rules
+// with the engine, which makes it the independent oracle the durable
+// stores are checked against.
 package storage
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"distlog/internal/appendforest"
@@ -50,7 +54,8 @@ type Store interface {
 
 	// Force makes all previously appended records stable. For the
 	// NVRAM-backed store this is a memory-speed no-op (the staging
-	// buffer is itself non-volatile); for the file store it is fsync.
+	// buffer is itself non-volatile); for the segmented store it is
+	// fsync.
 	Force() error
 
 	// Read returns the stored record with the highest epoch number for
@@ -108,8 +113,8 @@ type Store interface {
 type Usage struct {
 	// LiveBytes is the size of the online (hot) stream.
 	LiveBytes int64
-	// ReclaimableBytes is space compaction (or Compact, for the single
-	// file store) could return to the filesystem.
+	// ReclaimableBytes is space compaction could return to the
+	// filesystem.
 	ReclaimableBytes int64
 	// ArchivedBytes is the size of the write-once archive tier, when
 	// one is attached.
@@ -118,8 +123,8 @@ type Usage struct {
 	// free right now: sealed volumes (and index files) wholly below
 	// every client's truncation floor.
 	ArchiveReclaimableBytes int64
-	// Segments counts online segment files; single-file backends
-	// report 1, the memory store 0.
+	// Segments counts online segment files; the track-disk store
+	// reports 1, the memory store 0.
 	Segments int
 	// SealedSegments counts segments closed to further appends.
 	SealedSegments int
@@ -183,30 +188,6 @@ type clientIndex struct {
 
 func newClientIndex() *clientIndex {
 	return &clientIndex{overlay: make(map[record.LSN]entryRef)}
-}
-
-// addNormal indexes a record arriving through the ordinary write path,
-// validating Section 3.1.1 sequencing.
-func (ci *clientIndex) addNormal(rec record.Record, loc int64) error {
-	if err := record.ValidateAppend(ci.lastLSN, ci.lastEpoch, rec); err != nil {
-		return err
-	}
-	ci.index(rec, loc)
-	return nil
-}
-
-// addInstalled indexes a record arriving through InstallCopies, which
-// may legally revisit LSNs below the client's high-water mark provided
-// the epoch is not lower than anything stored.
-func (ci *clientIndex) addInstalled(rec record.Record, loc int64) error {
-	if rec.LSN == 0 || rec.Epoch == 0 {
-		return record.ErrZero
-	}
-	if rec.Epoch < ci.lastEpoch {
-		return fmt.Errorf("%w: install at epoch %d after %d", record.ErrEpochRegression, rec.Epoch, ci.lastEpoch)
-	}
-	ci.index(rec, loc)
-	return nil
 }
 
 // index records the entry in the forest (dense increasing path) or the
@@ -377,10 +358,7 @@ func newStage() *stage {
 	return &stage{records: make(map[stageKey]map[record.LSN]stagedRec)}
 }
 
-func (s *stage) add(c record.ClientID, rec record.Record, loc int64) error {
-	if rec.LSN == 0 || rec.Epoch == 0 {
-		return record.ErrZero
-	}
+func (s *stage) add(c record.ClientID, rec record.Record, loc int64) {
 	k := stageKey{c, rec.Epoch}
 	m := s.records[k]
 	if m == nil {
@@ -388,7 +366,6 @@ func (s *stage) add(c record.ClientID, rec record.Record, loc int64) error {
 		s.records[k] = m
 	}
 	m[rec.LSN] = stagedRec{rec: rec.Clone(), loc: loc}
-	return nil
 }
 
 // take removes and returns the staged records for (client, epoch) in
@@ -408,11 +385,10 @@ func (s *stage) take(c record.ClientID, epoch record.Epoch) []stagedRec {
 	return out
 }
 
-// discard drops every staging area for the client (client restart
-// abandons prior recovery attempts).
-func (s *stage) discard(c record.ClientID) {
+// dropBelow drops the client's staging areas at epochs below epoch.
+func (s *stage) dropBelow(c record.ClientID, epoch record.Epoch) {
 	for k := range s.records {
-		if k.client == c {
+		if k.client == c && k.epoch < epoch {
 			delete(s.records, k)
 		}
 	}

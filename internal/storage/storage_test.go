@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"distlog/internal/disk"
@@ -11,8 +10,8 @@ import (
 	"distlog/internal/record"
 )
 
-// backends returns a named constructor for every Store implementation;
-// the conformance tests run against each.
+// backends returns a named constructor for every Store implementation
+// and medium shape; the conformance tests run against each.
 func backends(t *testing.T) map[string]func(t *testing.T) Store {
 	return map[string]func(t *testing.T) Store{
 		"mem": func(t *testing.T) Store { return NewMemStore() },
@@ -29,8 +28,10 @@ func backends(t *testing.T) map[string]func(t *testing.T) Store {
 			}
 			return s
 		},
+		// One segment file that never seals in a test — the shape
+		// logserverd runs by default — so extent reads span many frames.
 		"file": func(t *testing.T) Store {
-			s, err := OpenFileStore(filepath.Join(t.TempDir(), "log"))
+			s, err := OpenSegStore(t.TempDir(), SegOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,6 +298,23 @@ func TestStoreStagedCopyRetryIdempotent(t *testing.T) {
 		got, err := s.Read(c, 1)
 		if err != nil || string(got.Data) != "second" {
 			t.Fatalf("Read(1) = %v, %v", got, err)
+		}
+	})
+}
+
+// A copy staged at an epoch below the client's last could never
+// install; every store refuses it up front.
+func TestStoreDeadStageRefused(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Store) {
+		const c = record.ClientID(1)
+		if err := s.Append(c, rec(1, 3, "x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StageCopy(c, rec(1, 2, "dead")); !errors.Is(err, record.ErrEpochRegression) {
+			t.Fatalf("StageCopy at epoch 2 after 3 = %v, want ErrEpochRegression", err)
+		}
+		if err := s.InstallCopies(c, 2); !errors.Is(err, record.ErrEpochRegression) {
+			t.Fatalf("InstallCopies at epoch 2 after 3 = %v, want ErrEpochRegression", err)
 		}
 	})
 }

@@ -30,7 +30,7 @@ const (
 	kindRecord     = 0x01 // payload: ClientID + record
 	kindStagedCopy = 0x02 // payload: ClientID + record (CopyLog staging)
 	kindInstall    = 0x03 // payload: ClientID + epoch  (InstallCopies commit)
-	kindCheckpoint = 0x04 // payload: interval-list checkpoint
+	kindCheckpoint = 0x04 // payload: interval-list checkpoint (no longer written)
 	kindTruncate   = 0x05 // payload: ClientID + before-LSN (Section 5.3)
 )
 
@@ -43,10 +43,9 @@ var ErrBadFrame = errors.New("storage: corrupt stream frame")
 type streamEntry struct {
 	kind   byte
 	client record.ClientID
-	rec    record.Record                         // kindRecord, kindStagedCopy
-	epoch  record.Epoch                          // kindInstall
-	before record.LSN                            // kindTruncate
-	ckpt   map[record.ClientID][]record.Interval // kindCheckpoint
+	rec    record.Record // kindRecord, kindStagedCopy
+	epoch  record.Epoch  // kindInstall
+	before record.LSN    // kindTruncate
 }
 
 // appendFrame wraps payload in a frame of the given kind.
@@ -78,17 +77,6 @@ func encodeTruncateEntry(buf []byte, c record.ClientID, before record.LSN) []byt
 	payload := binary.BigEndian.AppendUint64(nil, uint64(c))
 	payload = binary.BigEndian.AppendUint64(payload, uint64(before))
 	return appendFrame(buf, kindTruncate, payload)
-}
-
-// encodeCheckpointEntry frames an interval-list checkpoint for every
-// client.
-func encodeCheckpointEntry(buf []byte, lists map[record.ClientID][]record.Interval) []byte {
-	payload := binary.BigEndian.AppendUint32(nil, uint32(len(lists)))
-	for _, c := range sortedClients(lists) {
-		payload = binary.BigEndian.AppendUint64(payload, uint64(c))
-		payload = record.EncodeIntervals(payload, lists[c])
-	}
-	return appendFrame(buf, kindCheckpoint, payload)
 }
 
 // decodeFrame decodes one frame from the front of buf. A kindPad lead
@@ -143,36 +131,34 @@ func decodeFrame(buf []byte) (streamEntry, int, error) {
 		e.client = record.ClientID(binary.BigEndian.Uint64(payload[:8]))
 		e.before = record.LSN(binary.BigEndian.Uint64(payload[8:16]))
 	case kindCheckpoint:
-		ckpt, err := decodeCheckpointPayload(payload)
-		if err != nil {
+		if err := checkCheckpointPayload(payload); err != nil {
 			return streamEntry{}, 0, err
 		}
-		e.ckpt = ckpt
 	default:
 		return streamEntry{}, 0, fmt.Errorf("%w: unknown kind 0x%02x", ErrBadFrame, kind)
 	}
 	return e, end + 4, nil
 }
 
-func decodeCheckpointPayload(payload []byte) (map[record.ClientID][]record.Interval, error) {
+// checkCheckpointPayload validates an interval-list checkpoint: a
+// client count, then per client its ID and encoded interval list.
+// Earlier versions wrote these frames; replay skips them.
+func checkCheckpointPayload(payload []byte) error {
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("%w: short checkpoint", ErrBadFrame)
+		return fmt.Errorf("%w: short checkpoint", ErrBadFrame)
 	}
 	n := int(binary.BigEndian.Uint32(payload))
 	off := 4
-	out := make(map[record.ClientID][]record.Interval, n)
 	for i := 0; i < n; i++ {
 		if len(payload)-off < 8 {
-			return nil, fmt.Errorf("%w: truncated checkpoint", ErrBadFrame)
+			return fmt.Errorf("%w: truncated checkpoint", ErrBadFrame)
 		}
-		c := record.ClientID(binary.BigEndian.Uint64(payload[off:]))
 		off += 8
-		ivs, used, err := record.DecodeIntervals(payload[off:])
+		_, used, err := record.DecodeIntervals(payload[off:])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+			return fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		off += used
-		out[c] = ivs
 	}
-	return out, nil
+	return nil
 }

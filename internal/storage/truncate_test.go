@@ -2,8 +2,6 @@ package storage
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"distlog/internal/record"
@@ -142,69 +140,10 @@ func TestDiskStoreTruncateSurvivesCrash(t *testing.T) {
 	}
 }
 
-func TestFileStoreCompactReclaimsSpace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = record.ClientID(1)
-	fillClient(t, s, c, 200)
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Truncate(c, 191); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size()/2 {
-		t.Fatalf("compact did not reclaim space: %d -> %d bytes", before.Size(), after.Size())
-	}
-	// Surviving records still read; the store stays usable.
-	for i := record.LSN(191); i <= 200; i++ {
-		if _, err := s.Read(c, i); err != nil {
-			t.Fatalf("Read(%d) after compact: %v", i, err)
-		}
-	}
-	if _, err := s.Read(c, 190); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("Read(190) after compact: %v", err)
-	}
-	if err := s.Append(c, rec(201, 1, "post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Force(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// The compacted file replays correctly after a restart.
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, err := s2.Read(c, 201); err != nil {
-		t.Fatalf("Read(201) after reopen: %v", err)
-	}
-	if _, err := s2.Read(c, 100); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("Read(100) after reopen: %v", err)
-	}
-	lsn, _ := s2.LastKey(c)
-	if lsn != 201 {
-		t.Fatalf("LastKey after reopen = %d", lsn)
-	}
-}
-
-func TestFileStoreCompactKeepsInstalledCopies(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
+func TestSegStoreCompactKeepsInstalledCopies(t *testing.T) {
+	dir := t.TempDir()
+	arch := newMemArchive()
+	s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256, Archive: arch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,22 +158,46 @@ func TestFileStoreCompactKeepsInstalledCopies(t *testing.T) {
 	if err := s.Truncate(c, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	// Seal the segment holding the install so compaction can take it.
+	if err := s.Append(c, rec(11, 2, "after-install")); err != nil {
 		t.Fatal(err)
+	}
+	compactAll(t, s)
+	if s.Boundary() == 0 {
+		t.Fatal("nothing was compacted")
 	}
 	got, err := s.Read(c, 10)
 	if err != nil || got.Epoch != 2 || string(got.Data) != "copied" {
 		t.Fatalf("installed copy after compact: %v, %v", got, err)
 	}
 	s.Close()
-	s2, err := OpenFileStore(path)
+	s2, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256, Archive: arch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	got, err = s2.Read(c, 10)
-	if err != nil || got.Epoch != 2 {
+	if err != nil || got.Epoch != 2 || string(got.Data) != "copied" {
 		t.Fatalf("installed copy after reopen: %v, %v", got, err)
+	}
+	if _, err := s2.Read(c, 5); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("Read(5) below the floor after reopen: %v", err)
+	}
+}
+
+// compactAll runs CompactOnce until it reclaims nothing more.
+func compactAll(t *testing.T, s *SegStore) int {
+	t.Helper()
+	n := 0
+	for {
+		ok, err := s.CompactOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return n
+		}
+		n++
 	}
 }
 
@@ -289,9 +252,9 @@ func TestTruncatedRangeReinstallDoesNotResurrect(t *testing.T) {
 // truncation point before the install, and the rebuilt index must not
 // resurrect the stale range either.
 func TestTruncatedRangeReinstallDoesNotResurrectAcrossCrash(t *testing.T) {
-	t.Run("file", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "log")
-		s, err := OpenFileStore(path)
+	t.Run("seg", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +270,7 @@ func TestTruncatedRangeReinstallDoesNotResurrectAcrossCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		s2, err := OpenFileStore(path)
+		s2, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,5 @@
 package storage
 
-import "distlog/internal/record"
-
 // Usage implementations for the non-segmented backends, so the
 // disk-usage gauges and `logctl du` work against every store. The
 // segmented store's Usage lives in segstore.go.
@@ -16,45 +14,6 @@ func (m *MemStore) Usage() Usage {
 		for i := range recs {
 			u.LiveBytes += int64(len(recs[i].Data))
 		}
-	}
-	return u
-}
-
-// Usage implements UsageReporter. ReclaimableBytes is computed by
-// scanning the stream for entries below their client's truncation
-// point — the bytes Compact would drop. The scan reads the whole
-// file; callers (the stats loop, `logctl du`) are infrequent.
-func (s *FileStore) Usage() Usage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u := Usage{LiveBytes: s.streamLen, Segments: 1}
-	if s.closed {
-		return u
-	}
-	floor := make(map[record.ClientID]record.LSN, len(s.clients))
-	for c, ci := range s.clients {
-		floor[c] = ci.truncated
-	}
-	data := make([]byte, s.streamLen)
-	if _, err := s.f.ReadAt(data, 0); err != nil {
-		return u
-	}
-	for off := int64(0); off < s.streamLen; {
-		e, n, err := decodeFrame(data[off:])
-		if err != nil || n == 0 {
-			break
-		}
-		switch e.kind {
-		case kindRecord, kindStagedCopy:
-			if e.rec.LSN < floor[e.client] {
-				u.ReclaimableBytes += int64(n)
-			}
-		case kindCheckpoint, kindTruncate, kindPad:
-			// Compact drops these too (truncation points are re-asserted
-			// once, checkpoints regenerated).
-			u.ReclaimableBytes += int64(n)
-		}
-		off += int64(n)
 	}
 	return u
 }
