@@ -4,7 +4,7 @@ GO ?= go
 # race-detector tier in `make check`.
 RACE_PKGS := ./internal/appendforest/... ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
 
-.PHONY: all build test race check bench bench-smoke vet fmt crashaudit soak
+.PHONY: all build test race check bench bench-smoke bench-full vet fmt crashaudit soak
 
 all: check
 
@@ -49,6 +49,26 @@ soak:
 bench-smoke:
 	cd bench && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./... && GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 	bash bench/run.sh --smoke
+
+# bench-full runs every workload BENCHMARK.json declares once at full
+# length (seed 1, untraced) and fails on a non-zero exit, a missing
+# result line, or a run with failed operations. bench-smoke's one-second
+# phases and 50-transaction history cannot reach what only a long run
+# does — a modelled disk filling near LSN 623k, say. Not part of check:
+# it takes about two minutes.
+BENCH_WORKLOADS = $(shell awk '/"workloads"/ {w = 1} w && /"name"/ {gsub(/.*"name": *"|".*/, ""); print} w && /^  \]/ {w = 0}' BENCHMARK.json)
+
+bench-full:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench-full: $$w"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1) || { echo "bench-full: $$w: exit status $$?" >&2; exit 1; }; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$line"; \
+		case "$$line" in \
+		*'"failed":0,'*) ;; \
+		*) echo "bench-full: $$w: failed operations or no result line" >&2; exit 1 ;; \
+		esac; \
+	done
 
 # check is the CI gate: tier-1 build+tests, vet, the race tier over the
 # client/wire/server packages, the crash-point audit, and the benchmark

@@ -19,9 +19,9 @@
 #                                   and modelled DiskStore (server-side
 #                                   group force scaling)
 #   BenchmarkStreamingWrite         single-client sustained records/s on a
-#                                   200µs-latency memnet: synchronous
-#                                   force-rounds baseline vs the streaming
-#                                   write pipeline (sliding send window)
+#                                   200µs-latency memnet through the
+#                                   streaming write pipeline (sliding
+#                                   send window)
 #   BenchmarkAggregateForce         aggregate forces/s at 16 vs 64 clients
 #                                   on the same 200µs memnet + modelled
 #                                   disks (population-scale pipelining)

@@ -475,22 +475,14 @@ func BenchmarkAggregateForce(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingWrite measures the tentpole trade of Section 4.2's
-// streaming write protocol on a network where latency is real (200µs
-// each way, the paper's LAN regime): a single client pushing plain
-// WriteLog records as fast as the protocol allows.
-//
-//   - forced-rounds: the pre-streaming write path (DisableWriteStream)
-//     where nothing is transmitted until a force round flushes the
-//     buffer and each δ-bound wait is a full round trip.
-//   - streaming: the sliding-window pipeline — frames transmitted
-//     continuously under WriteWindow, servers acking stability in the
-//     background, δ satisfied without synchronous rounds.
-//
-// The streaming rate should exceed the forced-round rate several times
-// over; the gap is the round-trip stalls the window removes.
+// BenchmarkStreamingWrite measures Section 4.2's streaming write
+// protocol on a network where latency is real (200µs each way, the
+// paper's LAN regime): a single client pushing plain WriteLog records
+// as fast as the sliding-window pipeline allows — frames transmitted
+// continuously under WriteWindow, servers acking stability in the
+// background, δ satisfied without synchronous rounds.
 func BenchmarkStreamingWrite(b *testing.B) {
-	run := func(b *testing.B, tune func(cfg *distlog.ClientConfig)) {
+	b.Run("streaming", func(b *testing.B) {
 		cluster, err := distlog.NewCluster(distlog.ClusterOptions{Servers: 3})
 		if err != nil {
 			b.Fatal(err)
@@ -502,8 +494,9 @@ func BenchmarkStreamingWrite(b *testing.B) {
 			N:           2,
 			Endpoint:    cluster.Network().Endpoint("stream-bench-client"),
 			CallTimeout: 2 * time.Second,
+			Delta:       1024,
+			WriteWindow: 32,
 		}
-		tune(&cfg)
 		l, err := distlog.Open(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -529,18 +522,6 @@ func BenchmarkStreamingWrite(b *testing.B) {
 		elapsed := time.Since(start)
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "recs/s")
-	}
-	b.Run("forced-rounds", func(b *testing.B) {
-		run(b, func(cfg *distlog.ClientConfig) {
-			cfg.DisableWriteStream = true
-			cfg.Delta = 16
-		})
-	})
-	b.Run("streaming", func(b *testing.B) {
-		run(b, func(cfg *distlog.ClientConfig) {
-			cfg.Delta = 1024
-			cfg.WriteWindow = 32
-		})
 	})
 }
 

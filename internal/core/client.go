@@ -87,11 +87,6 @@ type Config struct {
 	// buffered record is transmitted no later than this after it was
 	// written, even if its frame is not yet full. Default 200µs.
 	FlushInterval time.Duration
-	// DisableWriteStream turns the background streaming pipeline off:
-	// records then reach the servers only through opportunistic
-	// FlushBatch flushes and force rounds (the pre-streaming write
-	// path), and the δ bound triggers synchronous forces.
-	DisableWriteStream bool
 	// OnError, when set, is invoked (once per error episode, on its own
 	// goroutine) when the asynchronous write pipeline records a failure
 	// — the health callback counterpart of Err. A subsequent successful
@@ -245,39 +240,33 @@ type ReplicatedLog struct {
 	// pipeline (streamer sends, opportunistic flushes); see Err. A
 	// successful Force clears it.
 	asyncErr error
-	// Group-commit state (see forceround.go): the round whose
-	// acknowledgment waits are in flight, and the single queued round
-	// that callers beyond curRound's target coalesce onto. Rounds are
-	// serialized, so one scratch waiter set and wait group are reused
-	// across every round instead of being allocated per force.
-	curRound     *forceRound
-	nextRound    *forceRound
+	// Group-commit state (see forceround.go): whether a round is in
+	// flight and the latest failed one. Rounds run one at a time, so one
+	// scratch waiter set and wait group are reused across every round
+	// instead of being allocated per force.
+	round        forceRound
 	roundWaiters []roundWaiter
 	roundWG      sync.WaitGroup
 
 	// Write-set migration state (see migrate.go). migrateMu serializes
 	// Migrate calls against each other; migrating — set under l.mu —
-	// holds new force rounds at the Force entry gate while the in-flight
-	// ones drain and the set is swapped.
+	// holds new force rounds while the in-flight one drains and the set
+	// is swapped.
 	migrateMu sync.Mutex
 	migrating bool
 
 	// Streamer wakeup and shutdown (see sendwindow.go). streamKick is
 	// 1-buffered: a pending kick covers any number of new ones.
-	// roundActive mirrors curRound != nil for lock-free readers: while a
-	// force round is in flight its acknowledgments need not wake the
-	// streamer (the round releases the buffer itself and kicks once at
-	// completion), which keeps the forced-write fast path free of
-	// per-ack goroutine wakeups.
-	// streamForcing overrides that suppression while any session has a
-	// pending force point: a window-capped force depends on mid-round
-	// acks clocking the remaining frames out, so those acks must kick.
-	// Set under l.mu when a force point is planted, cleared by the
-	// streamer once no session has one pending.
-	streamKick    chan struct{}
-	streamQuit    chan struct{}
-	roundActive   atomic.Bool
-	streamForcing atomic.Bool
+	// quietAcks lets acknowledgments skip waking the streamer. The
+	// streamer sets it only while a force round is in flight, nobody
+	// waits on release, and every force point has gone out; planting a
+	// force point, a caller starting to wait, and the round's end clear
+	// it (see streamAckEvent). releaseWaiters counts the Force callers
+	// and δ-bounded writers blocked on release; guarded by l.mu.
+	streamKick     chan struct{}
+	streamQuit     chan struct{}
+	quietAcks      atomic.Bool
+	releaseWaiters int
 
 	pumpWG sync.WaitGroup
 
@@ -309,12 +298,9 @@ func Open(cfg Config) (*ReplicatedLog, error) {
 		cfg.ConnID = uint64(time.Now().UnixNano())<<8 | (connIDCounter.Add(1) & 0xFF)
 	}
 	l := newLog(cfg, "")
-	l.pumpWG.Add(1)
+	l.pumpWG.Add(2)
 	go l.pump()
-	if !cfg.DisableWriteStream {
-		l.pumpWG.Add(1)
-		go l.streamer()
-	}
+	go l.streamer()
 
 	// Stream 0 (the parent) and the K-1 children recover concurrently:
 	// the children are registered for packet routing first, then all K
@@ -431,10 +417,8 @@ func (l *ReplicatedLog) dial(addr string) (*session, error) {
 		// Window and wakeups are wired before the session is published:
 		// deliver reads the callbacks without sess.mu.
 		sess.win = sendWindow{cwnd: l.cfg.WriteWindow, max: l.cfg.WriteWindow}
-		if !l.cfg.DisableWriteStream {
-			sess.onAck = l.streamAckEvent
-			sess.onBusy = l.streamBusyEvent
-		}
+		sess.onAck = l.streamAckEvent
+		sess.onBusy = l.streamBusyEvent
 		l.sessions[addr] = sess
 		l.mu.Unlock()
 
@@ -794,10 +778,11 @@ func (l *ReplicatedLog) WriteLog(data []byte) (record.LSN, error) {
 }
 
 // writeLog appends one record. kick wakes the streaming pipeline for
-// the new record; ForceLog passes false — its own synchronous Force
-// flushes the buffer immediately, and waking the streamer to hold a
-// partial frame that the force will have transmitted by the time the
-// flush deadline fires is pure overhead on the forced-write path.
+// the new record; ForceLog passes false — its own Force either leads a
+// round, which flushes the buffer immediately, or waits behind one and
+// then kicks the streamer itself. Waking the streamer to hold a partial
+// frame that the force will have transmitted by the time the flush
+// deadline fires is pure overhead on the forced-write path.
 // deps, when non-nil, is the dependency vector stamped on the record
 // (Stream.WriteCommit); ordinary writes pass nil.
 func (l *ReplicatedLog) writeLog(data []byte, deps []record.StreamDep, kick bool) (record.LSN, error) {
@@ -813,20 +798,18 @@ func (l *ReplicatedLog) writeLog(data []byte, deps []record.StreamDep, kick bool
 	// push past δ and void the recovery guarantee (recovery re-copies
 	// only the last δ records).
 	for len(l.outstanding) >= l.cfg.Delta {
-		if !l.cfg.DisableWriteStream {
-			// Streaming: the pipeline is already pushing the buffer
-			// toward stability, so wait for background release to bring
-			// it under δ. Fall back to a force round — whose waiters own
-			// retry, NACK service, and failover — if release stalls for
-			// a full call timeout (e.g. a write-set server went quiet).
-			l.kickStream()
-			if l.waitReleaseLocked(time.Now().Add(l.cfg.CallTimeout)) {
-				if l.closed {
-					l.mu.Unlock()
-					return 0, ErrClosed
-				}
-				continue
+		// The pipeline is already pushing the buffer toward stability,
+		// so wait for background release to bring it under δ. Fall back
+		// to a force round — whose waiters own retry, NACK service, and
+		// failover — if release stalls for a full call timeout (e.g. a
+		// write-set server went quiet).
+		l.kickStream()
+		if l.waitReleaseLocked(time.Now().Add(l.cfg.CallTimeout)) {
+			if l.closed {
+				l.mu.Unlock()
+				return 0, ErrClosed
 			}
+			continue
 		}
 		l.mu.Unlock()
 		if err := l.Force(); err != nil {
@@ -859,7 +842,7 @@ func (l *ReplicatedLog) writeLog(data []byte, deps []record.StreamDep, kick bool
 		}
 	}
 	l.mu.Unlock()
-	if kick && !l.cfg.DisableWriteStream {
+	if kick {
 		l.kickStream()
 	}
 	return lsn, nil
@@ -891,19 +874,16 @@ func (l *ReplicatedLog) flushLocked(force bool) error {
 }
 
 // sendStreamLocked flushes the records beyond sess.sentHigh toward one
-// server. In streaming mode a force does not burst the buffer past the
-// send window — that is how a large force used to shed its own frames
-// off the server's queue and collapse the AIMD window. Instead it
-// plants the session's force point (the tail LSN the force must cover)
-// and runs one windowed pass: the streamer transmits the remainder as
+// server. A force does not burst the buffer past the send window —
+// that is how a large force used to shed its own frames off the
+// server's queue and collapse the AIMD window. Instead it plants the
+// session's force point (the tail LSN the force must cover) and runs
+// one windowed pass: the streamer transmits the remainder as
 // acknowledgments open the window, stamping the frame that covers the
 // point as a ForceLog — or a bare ForcePoint when the tail is already
 // streamed (Section 4.2: forcing an already-streamed log is a mark,
 // not a data transfer). Caller holds l.mu.
 func (l *ReplicatedLog) sendStreamLocked(sess *session, force bool) error {
-	if l.cfg.DisableWriteStream {
-		return l.sendBurstLocked(sess, force)
-	}
 	if force && len(l.outstanding) > 0 {
 		target := l.outstanding[len(l.outstanding)-1].LSN
 		sess.mu.Lock()
@@ -911,85 +891,14 @@ func (l *ReplicatedLog) sendStreamLocked(sess *session, force bool) error {
 			sess.forcePoint = target
 		}
 		sess.mu.Unlock()
-		// Mid-round acks must keep clocking frames out now: the round
-		// completes only after the windowed pipeline drains to the point.
-		l.streamForcing.Store(true)
+	}
+	if force {
+		// Acks wake the streamer again until its next pass has seen the
+		// force point out: a window-capped force depends on them.
+		l.quietAcks.Store(false)
 	}
 	_, err := l.streamFramesLocked(sess, true)
 	return err
-}
-
-// sendBurstLocked is the non-streaming flush (DisableWriteStream):
-// send every unsent record immediately, the final frame as a ForceLog
-// when forcing. Without a streamer goroutine there is no ack-clocked
-// pipeline to finish a capped send, so this path ignores the window.
-func (l *ReplicatedLog) sendBurstLocked(sess *session, force bool) error {
-	sess.mu.Lock()
-	sentHigh := sess.sentHigh
-	sess.mu.Unlock()
-
-	// outstanding holds consecutive LSNs in order, so the unsent suffix
-	// is index arithmetic on the send cursor — no per-flush rescan or
-	// rebuilt slice.
-	var toSend []record.Record
-	if n := len(l.outstanding); n > 0 {
-		first := l.outstanding[0].LSN
-		switch {
-		case sentHigh < first:
-			toSend = l.outstanding
-		case sentHigh < l.outstanding[n-1].LSN:
-			toSend = l.outstanding[int(sentHigh-first)+1:]
-		}
-	}
-	if len(toSend) == 0 {
-		if !force || len(l.outstanding) == 0 {
-			return nil
-		}
-		target := l.outstanding[len(l.outstanding)-1].LSN
-		fp := wire.LSNPayload{LSN: target}
-		if _, err := sess.peer.Send(wire.TForcePoint, 0, fp.Encode()); err != nil {
-			return err
-		}
-		return nil
-	}
-	for len(toSend) > 0 {
-		n := wire.FitRecords(toSend)
-		if n == 0 {
-			return fmt.Errorf("core: record %d too large for a packet", toSend[0].LSN)
-		}
-		batch := toSend[:n]
-		toSend = toSend[n:]
-		t := wire.TWriteLog
-		if force && len(toSend) == 0 {
-			t = wire.TForceLog
-		}
-		// Emit the flush before the packet leaves: on an in-memory
-		// network the server may append (and emit) before a post-send
-		// emission would run, which would invert the flush→append order
-		// the trace guarantees.
-		l.m.trace.Emit(telemetry.EvFlush, sess.addr,
-			uint64(batch[len(batch)-1].LSN), uint64(l.epoch), uint64(len(batch)))
-		if _, err := sess.peer.SendRecords(t, 0, l.epoch, batch); err != nil {
-			return err
-		}
-		if t == wire.TWriteLog {
-			faultpoint.Hit(FPStreamAfterSend)
-		}
-		last := batch[len(batch)-1].LSN
-		bytes := 0
-		for i := range batch {
-			bytes += len(batch[i].Data)
-		}
-		sess.mu.Lock()
-		if last > sess.sentHigh {
-			sess.sentHigh = last
-		}
-		// Register the frame so the timeout detector sees forced traffic
-		// too; without the streamer the cwnd limit is not consulted.
-		sess.win.onSent(last, bytes, time.Now())
-		sess.mu.Unlock()
-	}
-	return nil
 }
 
 // Force is implemented in forceround.go: concurrent callers coalesce

@@ -541,14 +541,14 @@ func TestCorruptedPacketsRejected(t *testing.T) {
 }
 
 func TestDeltaBoundsOutstanding(t *testing.T) {
-	// The δ invariant — never more than Delta records outstanding — has
-	// two enforcement mechanisms: with the write stream on (default),
-	// background release keeps the buffer under δ without synchronous
-	// forces; with it off, the client forces on its own every δ records.
-	deltaRun := func(t *testing.T, mutate func(*Config)) *ReplicatedLog {
+	// The δ invariant — never more than Delta records outstanding — is
+	// kept by background release: the stream pushes the buffer toward
+	// stability and writers wait for it to drop under δ, without
+	// synchronous forces.
+	t.Run("streamed", func(t *testing.T) {
 		c := newCluster(t, "s1", "s2", "s3")
-		l := mustOpen(t, c, 1, 2, mutate)
-		t.Cleanup(func() { l.Close() })
+		l := mustOpen(t, c, 1, 2, func(cfg *Config) { cfg.Delta = 4 })
+		defer l.Close()
 		for i := 0; i < 20; i++ {
 			if _, err := l.WriteLog([]byte("bounded")); err != nil {
 				t.Fatal(err)
@@ -560,18 +560,8 @@ func TestDeltaBoundsOutstanding(t *testing.T) {
 				t.Fatalf("outstanding = %d exceeds δ = 4", n)
 			}
 		}
-		return l
-	}
-	t.Run("streamed", func(t *testing.T) {
-		l := deltaRun(t, func(cfg *Config) { cfg.Delta = 4 })
 		if got := l.Stats().StreamFrames; got == 0 {
 			t.Fatal("write stream on, but no frames were streamed")
-		}
-	})
-	t.Run("forced", func(t *testing.T) {
-		l := deltaRun(t, func(cfg *Config) { cfg.Delta = 4; cfg.DisableWriteStream = true })
-		if got := l.Stats().Forces; got < 4 {
-			t.Fatalf("implicit forces = %d, want >= 4", got)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,192 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	if st := l.Stats(); st.ForceRounds != rounds || st.GroupCommits != grouped {
 		t.Fatalf("Stats disagree with ForceRoundStats: %+v vs (%d, %d)", st, rounds, grouped)
+	}
+}
+
+// TestConcurrentForceWaitsOnlyForOwnRecords: a committer that arrives
+// while a force round is in flight returns once the stable marks pass
+// its own records — about one round trip — instead of waiting out the
+// in-flight round and then a round of its own (1.5 round trips on
+// average). Eight committers on a 5 ms one-way link must show a median
+// Force latency of at most 1.3 round trips, where a round trip is what
+// a lone Force measures on the same link (at least the nominal 10 ms;
+// timer slack on a small machine adds a millisecond or two per hop).
+func TestConcurrentForceWaitsOnlyForOwnRecords(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	const oneWay = 5 * time.Millisecond
+	l := benchCluster(t, 3, 2, transport.Faults{FixedDelay: oneWay})
+	median := func(ds []time.Duration) time.Duration {
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return ds[len(ds)/2]
+	}
+	var solo []time.Duration
+	for i := 0; i < 9; i++ {
+		start := time.Now()
+		if _, err := l.ForceLog([]byte("solo")); err != nil {
+			t.Fatal(err)
+		}
+		solo = append(solo, time.Since(start))
+	}
+	rtt := max(median(solo), 2*oneWay)
+
+	const committers = 8
+	const perCommitter = 25
+	lat := make([][]time.Duration, committers)
+	var wg sync.WaitGroup
+	errCh := make(chan error, committers)
+	for w := 0; w < committers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perCommitter; i++ {
+				if _, err := l.WriteLog([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					errCh <- err
+					return
+				}
+				start := time.Now()
+				if err := l.Force(); err != nil {
+					errCh <- err
+					return
+				}
+				lat[w] = append(lat[w], time.Since(start))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	var all []time.Duration
+	for _, ls := range lat {
+		all = append(all, ls...)
+	}
+	got := median(all)
+	t.Logf("median Force latency %v over %d forces (%.2f round trips of %v)",
+		got, len(all), float64(got)/float64(rtt), rtt)
+	if limit := rtt * 13 / 10; got > limit {
+		t.Fatalf("median Force latency %v exceeds %v (1.3 round trips of %v)", got, limit, rtt)
+	}
+}
+
+// TestForceWaiterSharesFailedRoundError: a Force that does not lead
+// the in-flight round, and whose records that round covers, returns
+// the round's error when it fails — not a later round's, and not nil.
+func TestForceWaiterSharesFailedRoundError(t *testing.T) {
+	c := newCluster(t, "s1", "s2")
+	l := mustOpen(t, c, 1, 2, func(cfg *Config) {
+		cfg.CallTimeout = 20 * time.Millisecond
+		cfg.Retries = 1
+	})
+	defer l.Close()
+	if _, err := l.ForceLog([]byte("healthy")); err != nil {
+		t.Fatal(err)
+	}
+	// Every write-set server goes silent and there is no spare: the
+	// next round must fail.
+	client := l.cfg.Endpoint.Addr()
+	for _, s := range []string{"s1", "s2"} {
+		c.net.SetLinkFaults(client, s, transport.Faults{DropProb: 1})
+		c.net.SetLinkFaults(s, client, transport.Faults{DropProb: 1})
+	}
+	if _, err := l.WriteLog([]byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan error, 1)
+	go func() { leader <- l.Force() }()
+	waitFor(t, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.round.active
+	})
+	// No new writes: this caller's records are exactly the round's.
+	waiterErr := l.Force()
+	leaderErr := <-leader
+	if leaderErr == nil || !errors.Is(leaderErr, ErrUnavailable) {
+		t.Fatalf("leader Force = %v, want ErrUnavailable", leaderErr)
+	}
+	if waiterErr != leaderErr {
+		t.Fatalf("waiter Force = %v, want the failed round's error %v", waiterErr, leaderErr)
+	}
+	if forces, rounds, grouped := l.ForceRoundStats(); forces < rounds+grouped || grouped == 0 {
+		t.Fatalf("ForceRoundStats = (%d, %d, %d): the waiter must count as a group commit", forces, rounds, grouped)
+	}
+}
+
+// TestForceWaiterReleasedBeforeFailureSucceeds: a waiter whose records
+// the write set released returns nil even if a round covering them
+// fails afterwards — the records are stable. The round here is staged
+// by hand on a silent network, so neither acks nor the streamer can
+// move anything but the test.
+func TestForceWaiterReleasedBeforeFailureSucceeds(t *testing.T) {
+	c := newCluster(t, "s1", "s2", "s3")
+	l := mustOpen(t, c, 1, 2)
+	defer l.Close()
+	client := l.cfg.Endpoint.Addr()
+	for _, s := range []string{"s1", "s2", "s3"} {
+		c.net.SetLinkFaults(client, s, transport.Faults{DropProb: 1})
+		c.net.SetLinkFaults(s, client, transport.Faults{DropProb: 1})
+	}
+	l.mu.Lock()
+	l.round.active = true // a round is in flight: Force callers wait
+	l.mu.Unlock()
+	defer func() {
+		l.mu.Lock()
+		l.round.active = false
+		l.writeCond.Broadcast()
+		l.mu.Unlock()
+	}()
+
+	force := func() chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- l.Force() }()
+		return ch
+	}
+	waiting := func(n uint64) {
+		waitFor(t, func() bool { return l.Stats().Forces >= n })
+	}
+	before := l.Stats().Forces
+	mine, err := l.WriteLog([]byte("released"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := force()
+	waiting(before + 1)
+	later, err := l.WriteLog([]byte("failed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := force()
+	waiting(before + 2)
+
+	boom := errors.New("round failed")
+	l.mu.Lock()
+	l.releaseThroughLocked(mine) // the stable marks pass the first waiter
+	l.mu.Unlock()
+	l.mu.Lock()
+	l.round.failures++ // then a round covering both fails
+	l.round.failTarget = later
+	l.round.failErr = boom
+	l.writeCond.Broadcast()
+	l.mu.Unlock()
+
+	result := func(ch chan error) error {
+		select {
+		case err := <-ch:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("a waiter did not return within 5s")
+			return nil
+		}
+	}
+	if err := result(released); err != nil {
+		t.Fatalf("released waiter Force = %v, want nil", err)
+	}
+	if err := result(failed); !errors.Is(err, boom) {
+		t.Fatalf("covered waiter Force = %v, want %v", err, boom)
 	}
 }
 
@@ -403,5 +590,17 @@ func BenchmarkGroupCommit(b *testing.B) {
 	f1, r1, _ := l.ForceRoundStats()
 	if forces := f1 - f0; forces > 0 {
 		b.ReportMetric(float64(r1-r0)/float64(forces), "rounds/force")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -10,40 +10,58 @@ import (
 )
 
 // Group commit. A Force call does not necessarily run its own protocol
-// round: rounds are shared. Every round has one leader — the goroutine
-// that flushes the stream and fans out the acknowledgment waits — and
-// any number of followers that block on the round's completion.
+// round: at most one round is in flight per log, and a caller that
+// does not lead it waits only for its own records. The streaming
+// pipeline keeps carrying every buffered record while a round is in
+// flight, and each server's cumulative stable mark keeps releasing the
+// buffer (releaseStableLocked), so a waiter returns the moment the
+// minimum stable mark over the write set passes the last record it
+// wrote — not when some round whose target happens to cover it ends.
 //
-//   - A caller whose records are covered by the in-flight round's
-//     target LSN simply waits for that round.
-//   - A caller beyond the in-flight target queues the *next* round.
-//     The first such caller becomes its leader (it waits for the
-//     current round, then runs); later ones ride along as followers.
+//   - With no round in flight, the caller leads one: it flushes the
+//     stream with a force point at the tail and fans out the N
+//     acknowledgment waits, which own retry, MissingInterval service,
+//     and failover.
+//   - With a round in flight, the caller waits until its records are
+//     released, a round whose target covered them fails (it returns
+//     that round's error), or the round ends with its records still
+//     outstanding — then it leads the next round.
 //
-// Coalescing preserves the paper's Section 3.1 semantics because a
-// follower returns success only after a round whose target covers its
-// records completed the same N-server acknowledgment protocol an
-// individual Force would have run; the only observable difference is
-// fewer ForceLog packets (see DESIGN.md, "Beyond the paper").
+// Waiting on stable marks preserves the paper's Section 3.1 semantics:
+// a server publishes a stable mark only after a store force that began
+// after the covered appends, so "released" means recorded on all N
+// write-set servers of the current epoch, exactly what a private round
+// would have established. The only observable difference is fewer
+// rounds and lower commit latency under concurrent committers.
+//
+// forceRound is the state of the in-flight round and the record of the
+// latest failed one; both live in the log, so a round costs no heap
+// allocation.
 type forceRound struct {
-	target record.LSN
-	done   chan struct{}
-	err    error // valid after done is closed
+	active bool // a round's acknowledgment waits are in flight
+
+	// The latest failed round: failures counts them, failTarget and
+	// failErr describe the last. Round targets never decrease (each is
+	// the buffer's tail when the round starts), so a waiter that sees
+	// failures move and failTarget at or past its records was covered
+	// by a failed round.
+	failures   uint64
+	failTarget record.LSN
+	failErr    error
 }
 
 // Force makes every record written so far stable on N log servers. It
 // retries lost messages, services MissingInterval NACKs, and fails
 // over to spare servers when a write-set member stops responding.
-// Concurrent callers coalesce onto shared force rounds (group commit),
-// and within a round the N acknowledgment waits run in parallel, so
-// round latency is the slowest server's round trip, not the sum.
+// Concurrent callers share rounds (group commit), and within a round
+// the N acknowledgment waits run in parallel, so round latency is the
+// slowest server's round trip, not the sum.
 func (l *ReplicatedLog) Force() error {
-	var lead *forceRound // a queued round this caller must lead
 	l.mu.Lock()
-	// A write-set migration drains the in-flight and queued rounds, then
-	// swaps the set; a new round starting concurrently could release
-	// records with the wrong holder set. Entrants wait at this gate —
-	// only here, so rounds already queued can drain — and proceed on the
+	defer l.mu.Unlock()
+	// A write-set migration drains the in-flight round, then swaps the
+	// set; a round starting concurrently could release records with the
+	// wrong holder set. Entrants wait at this gate and proceed on the
 	// post-migration write set.
 	for l.migrating && !l.closed {
 		l.writeCond.Wait()
@@ -52,89 +70,51 @@ func (l *ReplicatedLog) Force() error {
 		// Rejected calls are not protocol activity: they must not count
 		// as Forces, or the Forces ≥ ForceRounds + GroupCommits
 		// invariant drifts on every post-Close call.
-		l.mu.Unlock()
 		return ErrClosed
 	}
 	l.m.forces.Add(1)
 	if l.m.sForces != nil {
 		l.m.sForces.Add(1)
 	}
+	if len(l.outstanding) == 0 {
+		// Everything written so far has already been confirmed on N
+		// servers — which also ends any asynchronous error episode:
+		// nothing unstable remains.
+		l.asyncErr = nil
+		return nil
+	}
+	mine := l.outstanding[len(l.outstanding)-1].LSN
+	failures := l.round.failures
+	led, kicked := false, false
 	for {
-		if l.closed {
-			if lead != nil {
-				// Wake any followers that queued behind us.
-				if l.nextRound == lead {
-					l.nextRound = nil
-				}
-				lead.err = ErrClosed
-				close(lead.done)
+		// Released first: a record the write set has confirmed is stable
+		// whatever became of a round that also covered it.
+		switch {
+		case len(l.outstanding) == 0 || l.outstanding[0].LSN > mine:
+			if !led {
+				l.m.groupCommits.Add(1)
 			}
-			l.mu.Unlock()
-			return ErrClosed
-		}
-		if lead == nil && len(l.outstanding) == 0 {
-			// Everything written so far has already been confirmed on N
-			// servers (possibly by a round another caller led, or by the
-			// streamer's background release) — which also ends any
-			// asynchronous error episode: nothing unstable remains.
-			l.asyncErr = nil
-			l.mu.Unlock()
 			return nil
-		}
-		if cur := l.curRound; cur != nil {
-			if lead == nil && cur.target >= l.outstanding[len(l.outstanding)-1].LSN {
-				// The in-flight round covers all our records: ride it.
+		case l.round.failures != failures && l.round.failTarget >= mine:
+			if !led {
 				l.m.groupCommits.Add(1)
-				l.mu.Unlock()
-				<-cur.done
-				return cur.err
 			}
-			if l.nextRound == nil {
-				lead = &forceRound{done: make(chan struct{})}
-				l.nextRound = lead
-			}
-			if l.nextRound != lead {
-				// The next round already has a leader; ride it — its
-				// target is fixed only when it starts, so it will cover
-				// every record outstanding now, including ours.
-				r := l.nextRound
-				l.m.groupCommits.Add(1)
-				l.mu.Unlock()
-				<-r.done
-				return r.err
-			}
-			// We lead the next round: wait our turn, then re-check.
-			l.mu.Unlock()
-			<-cur.done
-			l.mu.Lock()
+			return l.round.failErr
+		case l.closed:
+			return ErrClosed
+		case !l.round.active && !l.migrating:
+			led = true
+			l.leadRoundLocked()
 			continue
 		}
-		// No round in flight. While a queued round exists only its
-		// leader may start one, so a newcomer racing the promotion
-		// joins as a follower instead.
-		if l.nextRound != nil && l.nextRound != lead {
-			r := l.nextRound
-			l.m.groupCommits.Add(1)
-			l.mu.Unlock()
-			<-r.done
-			return r.err
+		if !kicked {
+			// The records may have been written without a kick (ForceLog
+			// leaves the send to its own round): make sure the streamer
+			// carries them while this caller waits.
+			kicked = true
+			l.kickStream()
 		}
-		if lead == nil {
-			lead = &forceRound{done: make(chan struct{})}
-		}
-		if l.nextRound == lead {
-			l.nextRound = nil
-		}
-		if len(l.outstanding) == 0 {
-			// The previous round confirmed everything (it covered our
-			// followers' records too); complete trivially.
-			l.asyncErr = nil
-			close(lead.done)
-			l.mu.Unlock()
-			return nil
-		}
-		l.curRound = lead
-		return l.leadRoundLocked(lead)
+		l.awaitReleaseLocked()
 	}
 }
 
@@ -161,15 +141,18 @@ func (w *roundWaiter) wait() {
 }
 
 // leadRoundLocked runs one force round: flush the stream with a
-// trailing ForceLog, then wait for all N write-set acknowledgments in
-// parallel. One waiter goroutine per server keeps per-server retry,
+// trailing force point, then wait for all N write-set acknowledgments
+// in parallel. One waiter goroutine per server keeps per-server retry,
 // NACK service, and failover independent: a server failing over never
-// stalls or aborts the waits on the others. Called with l.mu held and
-// l.curRound == r; returns with l.mu released and the round completed.
-func (l *ReplicatedLog) leadRoundLocked(r *forceRound) error {
+// stalls or aborts the waits on the others. Called and returns with
+// l.mu held (released during the waits); the round's outcome is the
+// buffer released through its target or, on failure, l.round's failure
+// record. Either way every waiter is woken: the ones still holding
+// unreleased records start the next round.
+func (l *ReplicatedLog) leadRoundLocked() {
 	started := time.Now()
-	r.target = l.outstanding[len(l.outstanding)-1].LSN
-	l.roundActive.Store(true)
+	target := l.outstanding[len(l.outstanding)-1].LSN
+	l.round.active = true
 	l.m.forceRounds.Add(1)
 	faultpoint.Hit(FPForceBeforeFlush)
 	err := l.flushLocked(true)
@@ -179,7 +162,7 @@ func (l *ReplicatedLog) leadRoundLocked(r *forceRound) error {
 	}
 	waiters := l.roundWaiters[:len(l.writeSet)]
 	for i, addr := range l.writeSet {
-		waiters[i] = roundWaiter{l: l, addr: addr, target: r.target}
+		waiters[i] = roundWaiter{l: l, addr: addr, target: target}
 	}
 	l.mu.Unlock()
 
@@ -207,27 +190,24 @@ func (l *ReplicatedLog) leadRoundLocked(r *forceRound) error {
 		// releaseThroughLocked is idempotent over the already-released
 		// prefix, and the round's latency is observed either way so a
 		// force round always accounts for exactly one latency sample.
-		l.releaseThroughLocked(r.target)
+		l.releaseThroughLocked(target)
 		l.m.forceLatency.Observe(uint64(time.Since(started)))
 		// The round's acknowledgments subsume whatever the background
 		// pipeline was struggling with: the error episode is over.
 		l.asyncErr = nil
+	} else {
+		l.round.failures++
+		l.round.failTarget = target
+		l.round.failErr = err
 	}
-	if l.curRound == r {
-		l.curRound = nil
-	}
-	l.roundActive.Store(false)
-	// Catch up on whatever the suppressed per-ack kicks would have done:
-	// one wakeup covers releases and sends for records that arrived (or
-	// acks that landed) while the round was in flight.
-	kick := !l.cfg.DisableWriteStream && len(l.outstanding) > 0
-	r.err = err
-	close(r.done)
-	l.mu.Unlock()
-	if kick {
+	l.round.active = false
+	l.quietAcks.Store(false)
+	l.writeCond.Broadcast()
+	// Loss handling was the round's business while it ran; give the
+	// streamer one pass to resume it for whatever is still buffered.
+	if len(l.outstanding) > 0 {
 		l.kickStream()
 	}
-	return err
 }
 
 // releaseThroughLocked releases every outstanding record with LSN ≤

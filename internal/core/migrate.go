@@ -29,9 +29,9 @@ import (
 //     LSN when nothing is outstanding) and rewind the per-server send
 //     cursor so the streamer replays the buffer there.
 //  3. Swap the write set and epoch atomically under the client mutex,
-//     after draining the in-flight and queued force rounds — a round
-//     completing across the swap would record holders against the
-//     wrong server set.
+//     after draining the in-flight force round — a round completing
+//     across the swap would record holders against the wrong server
+//     set.
 //  4. Run one closing force that drains the outstanding buffer onto
 //     the new set; it returns only after all N new servers
 //     acknowledged, which is the zero-loss invariant: every record
@@ -48,9 +48,9 @@ import (
 // the stream left them.
 //
 // Concurrent WriteLog/Force calls are safe: writes buffer as usual
-// (the streamer redirects them after the swap), and forces either ride
-// a round that completes on the old set before the swap or wait at the
-// entry gate and run on the new set.
+// (the streamer redirects them after the swap), and forces either
+// complete on the old set before the swap or wait for it and run their
+// round on the new set.
 func (l *ReplicatedLog) Migrate(newSet []string) error {
 	if len(newSet) != l.cfg.N {
 		return fmt.Errorf("core: migrate to %d servers, want N=%d", len(newSet), l.cfg.N)
@@ -118,27 +118,17 @@ func (l *ReplicatedLog) Migrate(newSet []string) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	// Hold new force rounds at the gate and drain the ones in flight.
-	// Waiting on the round object's done channel works across a queued
-	// round's promotion to current: the object is reused.
+	// Hold new force rounds and drain the one in flight; its end wakes
+	// writeCond.
 	l.migrating = true
-	for {
-		round := l.curRound
-		if round == nil {
-			round = l.nextRound
-		}
-		if round == nil {
-			break
-		}
+	for l.round.active && !l.closed {
+		l.writeCond.Wait()
+	}
+	if l.closed {
+		l.migrating = false
+		l.writeCond.Broadcast()
 		l.mu.Unlock()
-		<-round.done
-		l.mu.Lock()
-		if l.closed {
-			l.migrating = false
-			l.writeCond.Broadcast()
-			l.mu.Unlock()
-			return ErrClosed
-		}
+		return ErrClosed
 	}
 
 	// 2. Anchor the new servers where the replayed stream will start.

@@ -22,7 +22,11 @@ import (
 // completed — releases the outstanding buffer once every write-set
 // server has published it. Force degenerates to "stamp the force point,
 // wait for stability to cross it": when the tail has already been
-// streamed it sends a ForcePoint instead of re-sending records.
+// streamed it sends a ForcePoint instead of re-sending records. Release
+// is also what completes a concurrent committer's Force: a caller that
+// does not lead the in-flight force round returns as soon as the stable
+// marks pass its own records (forceround.go), so while anyone waits on
+// release every ack reaches the streamer, round or no round.
 //
 // Congestion control is AIMD: a TBusy NACK (the server shed a write)
 // or a retransmission timeout halves the effective window; each ack
@@ -108,21 +112,24 @@ func (l *ReplicatedLog) kickStream() {
 	}
 }
 
-// streamAckEvent is the session's acknowledgment callback. While a
-// force round is in flight the ack is the round's business — the round
-// releases the buffer itself and kicks the streamer once when it
-// completes — so the forced-write path pays no per-ack wakeups. The
-// exception is a pending force point: a window-capped force relies on
-// each ack clocking the next frames out, so those acks must kick or
-// the round would deadlock behind a closed window. The race with a
-// round starting or ending around the flag reads is benign: a skipped
-// kick is covered by the round's completion kick, a spurious one by
-// the streamer finding nothing to do.
+// streamAckEvent is the session's acknowledgment callback: an ack
+// wakes the streamer, which releases what the write set's stable marks
+// now cover — waking the Force callers waiting on those records — and
+// sends what the advanced appended mark lets through the window. It
+// does so while a force round is in flight too whenever someone waits
+// on release: a committer that arrived after the round started waits
+// for its own records, not for the round. Only a round nobody else
+// waits on keeps its acks quiet, and only once a streamer pass has seen
+// its force points out (a window-capped force relies on each ack
+// clocking the remaining frames out): the round's own end releases the
+// buffer and kicks the streamer once, so a lone committer's forced
+// write pays no per-ack wakeups. A kick skipped just as a waiter
+// arrives is covered by the kick the waiter sends when it starts
+// waiting.
 func (l *ReplicatedLog) streamAckEvent() {
-	if l.roundActive.Load() && !l.streamForcing.Load() {
-		return
+	if !l.quietAcks.Load() {
+		l.kickStream()
 	}
-	l.kickStream()
 }
 
 // streamBusyEvent is the session's TBusy callback: count the
@@ -216,7 +223,7 @@ func (l *ReplicatedLog) streamStep(deadline bool) time.Duration {
 		// Loss handling runs only between force rounds: an in-flight
 		// round's waiters own retry, NACK service, and failover for
 		// their target, and the streamer must not race their rewinds.
-		if l.curRound == nil {
+		if !l.round.active {
 			sess.mu.Lock()
 			if at, ok := sess.win.oldest(); ok && time.Since(at) > l.cfg.CallTimeout {
 				// Retransmission timeout: presume everything past the
@@ -243,9 +250,7 @@ func (l *ReplicatedLog) streamStep(deadline bool) time.Duration {
 			l.noteAsyncErrLocked(err)
 		}
 		sess.mu.Lock()
-		if sess.forcePoint != 0 {
-			forcing = true
-		}
+		forcing = forcing || sess.forcePoint != 0
 		oldestAt, oldestOk := sess.win.oldest()
 		sess.mu.Unlock()
 		if held {
@@ -259,10 +264,10 @@ func (l *ReplicatedLog) streamStep(deadline bool) time.Duration {
 			sooner(time.Until(oldestAt.Add(l.cfg.CallTimeout)))
 		}
 	}
-	// Keep mid-round ack kicks enabled only while some session still has
-	// a force point to carry; consistent because force points are
-	// planted (sendStreamLocked) and drained (above) under l.mu.
-	l.streamForcing.Store(forcing)
+	// Quiet the acks of a round nobody else waits on once every force
+	// point is out; consistent because rounds, waiters and force points
+	// all change under l.mu.
+	l.quietAcks.Store(l.round.active && l.releaseWaiters == 0 && !forcing)
 	return wait
 }
 
@@ -409,7 +414,17 @@ func (l *ReplicatedLog) waitReleaseLocked(deadline time.Time) bool {
 			})
 			defer timer.Stop()
 		}
-		l.writeCond.Wait()
+		l.awaitReleaseLocked()
 	}
 	return len(l.outstanding) < l.cfg.Delta
+}
+
+// awaitReleaseLocked blocks on writeCond as a caller waiting for
+// background release: while it waits, every acknowledgment wakes the
+// streamer, mid-round too (see streamAckEvent). Caller holds l.mu.
+func (l *ReplicatedLog) awaitReleaseLocked() {
+	l.releaseWaiters++
+	l.quietAcks.Store(false)
+	l.writeCond.Wait()
+	l.releaseWaiters--
 }

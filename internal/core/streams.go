@@ -72,10 +72,8 @@ func (l *ReplicatedLog) registerStreams() {
 		l.childByID[ccfg.ClientID] = c
 		l.streams[i] = c
 		l.mu.Unlock()
-		if !ccfg.DisableWriteStream {
-			c.pumpWG.Add(1)
-			go c.streamer()
-		}
+		c.pumpWG.Add(1)
+		go c.streamer()
 	}
 }
 

@@ -451,6 +451,7 @@ func kindOf(point string) int {
 	case point == storage.FPInstallPartial,
 		point == storage.FPArchivePublish,
 		point == storage.FPSegmentDelete,
+		point == storage.FPSyncDir,
 		point == retention.FPVolumeSeal,
 		point == retention.FPVolumeRetire:
 		return kindInject

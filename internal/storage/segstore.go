@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"distlog/internal/faultpoint"
 	"distlog/internal/record"
@@ -263,7 +264,13 @@ func (m *segments) create(base int64) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	syncDir(m.dir)
+	// An entry that may not survive a crash must not take records: they
+	// would be acknowledged stable and then vanish with the file.
+	if err := syncDir(m.dir); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
 	g := &segment{base: base, f: f, path: path}
 	m.list = append(m.list, g)
 	m.tail.Store(f)
@@ -481,29 +488,33 @@ func (s *SegStore) CompactOnce() (bool, error) {
 		return false, err
 	}
 
-	// Fold the segment into the base state and advance the boundary.
-	// From here on, reads of the victim's offsets go to the archive;
-	// if the manifest write below fails, the in-memory state is merely
-	// ahead of the durable manifest — the same as a crash before the
-	// advance, which the next open replays correctly.
-	s.mu.Lock()
+	// Fold the segment into the base state. Only compaction touches
+	// baseMeta (under compactMu), so the fold — an index update per
+	// entry, thousands for a full segment — runs without s.mu and never
+	// stalls a foreground append or force.
+	faultpoint.Hit(FPSegmentFold)
 	for _, se := range entries {
 		if err := s.baseMeta.apply(se.e, se.loc); err != nil {
-			s.mu.Unlock()
 			return false, fmt.Errorf("storage: folding segment %s: %w", victim.path, err)
 		}
 	}
+	// Advance the boundary: from here on, reads of the victim's offsets
+	// go to the archive. If the manifest write below fails, the
+	// in-memory state is merely ahead of the durable manifest — the same
+	// as a crash before the advance, which the next open replays
+	// correctly — and the victim file stays for that replay.
+	s.mu.Lock()
 	s.boundary = victim.end()
 	s.segs.list = s.segs.list[1:]
-	buf := s.encodeManifestLocked()
 	s.mu.Unlock()
-	// The manifest fsync happens outside s.mu so compaction never
-	// stalls a foreground force; compactMu orders concurrent writers.
-	if err := s.writeManifestFile(buf); err != nil {
+	// Encoding and the manifest fsync happen outside s.mu too: compactMu
+	// orders the only writers of baseMeta and the boundary.
+	err := s.writeManifestFile(s.encodeManifest())
+	victim.f.Close()
+	if err != nil {
 		return false, err
 	}
 
-	victim.f.Close()
 	if err := faultpoint.HitErr(FPSegmentDelete); err != nil {
 		return false, err
 	}
@@ -602,9 +613,9 @@ func (m *manifestState) seed() *logIndex {
 
 const manifestMagic = uint32(0xD15C5E63) // "disc-seg"
 
-// encodeManifestLocked serializes baseMeta and the boundary to a
-// temporary file and renames it over the manifest. Caller holds s.mu.
-func (s *SegStore) encodeManifestLocked() []byte {
+// encodeManifest serializes baseMeta and the boundary. Caller holds
+// compactMu, which orders every writer of both.
+func (s *SegStore) encodeManifest() []byte {
 	buf := binary.BigEndian.AppendUint32(nil, manifestMagic)
 	buf = append(buf, 1) // version
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.boundary))
@@ -665,8 +676,7 @@ func (s *SegStore) writeManifestFile(buf []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(s.segs.dir)
-	return nil
+	return syncDir(s.segs.dir)
 }
 
 // loadManifest reads the manifest at path; a missing file yields the
@@ -760,12 +770,22 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed file's
-// directory entry is durable. Errors are ignored: some platforms and
-// filesystems refuse directory fsync, and the stream's own recovery
-// tolerates a lost tail.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// directory entry is durable. A filesystem that refuses directory fsync
+// outright (EINVAL, ENOTSUP) is tolerated — it offers no such guarantee
+// to wait for; any other failure is returned, because the entry may not
+// survive a crash.
+func syncDir(dir string) error {
+	if err := faultpoint.HitErr(FPSyncDir); err != nil {
+		return err
 	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	d.Close()
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
+	}
+	return err
 }

@@ -176,6 +176,152 @@ func TestSegStoreWritePathNotBlockedByArchive(t *testing.T) {
 	}
 }
 
+// TestSegStoreWritePathNotBlockedByFold: compaction folds the victim
+// segment's entries into the manifest's base state — thousands of index
+// updates for a full segment — and held the store mutex for all of it,
+// so every Append and Force on the server waited out the fold. The fold
+// now runs beside the foreground; an append issued while a fold is held
+// must complete.
+func TestSegStoreWritePathNotBlockedByFold(t *testing.T) {
+	s, err := OpenSegStore(t.TempDir(), SegOptions{SegmentBytes: 256, Archive: newMemArchive()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const c1, c2 = record.ClientID(1), record.ClientID(2)
+	fillSeg(t, s, c1, 20)
+
+	folding, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	faultpoint.Arm(FPSegmentFold, 1, func() {
+		close(folding)
+		<-release
+	})
+	defer faultpoint.Reset()
+	compacted := make(chan error, 1)
+	go func() {
+		ok, err := s.CompactOnce()
+		if err == nil && !ok {
+			err = errors.New("no segment reclaimed")
+		}
+		compacted <- err
+	}()
+	select {
+	case <-folding:
+	case <-time.After(5 * time.Second):
+		t.Fatal("compaction never reached the fold")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		if err := s.Append(c2, rec(1, 1, "during-fold")); err != nil {
+			done <- err
+			return
+		}
+		done <- s.Force()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("an append queued behind the compaction fold")
+	}
+
+	unblock()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	for i := record.LSN(1); i <= 20; i++ {
+		if _, err := s.Read(c1, i); err != nil {
+			t.Fatalf("Read(%d) after the fold: %v", i, err)
+		}
+	}
+	if got, err := s.Read(c2, 1); err != nil || string(got.Data) != "during-fold" {
+		t.Fatalf("Read(c2, 1) = %q, %v", got.Data, err)
+	}
+}
+
+// TestSegStoreSyncDirFailsClosed: a directory fsync that fails leaves
+// a directory entry that may not survive a crash. A segment created
+// under one must take no record (the Append fails, and the server
+// redirects the client as for a full store), and a manifest renamed
+// under one must not license removing the segment it supersedes.
+func TestSegStoreSyncDirFailsClosed(t *testing.T) {
+	boom := errors.New("directory fsync failed")
+	defer faultpoint.Reset()
+
+	t.Run("segment-create", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		const c = record.ClientID(3)
+		faultpoint.ArmErr(FPSyncDir, 1, boom)
+		var failed record.LSN
+		for i := record.LSN(1); i <= 40 && failed == 0; i++ {
+			switch err := s.Append(c, rec(i, 1, fmt.Sprintf("payload-%04d", i))); {
+			case errors.Is(err, boom):
+				failed = i
+			case err != nil:
+				t.Fatal(err)
+			}
+		}
+		if failed == 0 {
+			t.Fatal("no append reached a segment boundary")
+		}
+		if got := len(segFiles(t, dir)); got != 1 {
+			t.Fatalf("%d segment files after the failed create, want 1", got)
+		}
+		if _, err := s.Read(c, failed); err == nil {
+			t.Fatalf("record %d readable after its append failed", failed)
+		}
+		// The next append retries the segment and succeeds.
+		if err := s.Append(c, rec(failed, 1, "retried")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Force(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		arch := newMemArchive()
+		s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256, Archive: arch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const c = record.ClientID(4)
+		fillSeg(t, s, c, 40)
+		files := len(segFiles(t, dir))
+		faultpoint.ArmErr(FPSyncDir, 1, boom)
+		if _, err := s.CompactOnce(); !errors.Is(err, boom) {
+			t.Fatalf("CompactOnce = %v, want the directory fsync failure", err)
+		}
+		if got := len(segFiles(t, dir)); got != files {
+			t.Fatalf("%d segment files after the failed manifest sync, had %d", got, files)
+		}
+		s.Close()
+
+		s, err = OpenSegStore(dir, SegOptions{SegmentBytes: 256, Archive: arch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := record.LSN(1); i <= 40; i++ {
+			if _, err := s.Read(c, i); err != nil {
+				t.Fatalf("Read(%d) after reopen: %v", i, err)
+			}
+		}
+	})
+}
+
 func segFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
