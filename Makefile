@@ -4,7 +4,7 @@ GO ?= go
 # race-detector tier in `make check`.
 RACE_PKGS := ./internal/appendforest/... ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
 
-.PHONY: all build test race check bench bench-smoke bench-full vet fmt crashaudit soak
+.PHONY: all build test race check bench bench-smoke bench-full vet fmt crashaudit fuzz soak
 
 all: check
 
@@ -31,6 +31,13 @@ fmt:
 CRASHAUDIT_ITERS ?= 200
 crashaudit:
 	$(GO) run ./cmd/crashaudit -iters $(CRASHAUDIT_ITERS)
+
+# fuzz runs the fuzz target of each handshake and install payload
+# decoder for 5 s, seeded from the committed goldens in
+# internal/wire/testdata.
+fuzz:
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeSynAckPayload$$' -fuzztime 5s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeInstallPayload$$' -fuzztime 5s
 
 # soak runs the full-scale Section 5.3 log-space soak: a simulated
 # week of ET1 with periodic sharp checkpoints over segmented stores
@@ -71,9 +78,9 @@ bench-full:
 	done
 
 # check is the CI gate: tier-1 build+tests, vet, the race tier over the
-# client/wire/server packages, the crash-point audit, and the benchmark
-# smoke.
-check: build test vet race crashaudit bench-smoke
+# client/wire/server packages, the crash-point audit, the payload fuzz
+# targets, and the benchmark smoke.
+check: build test vet race crashaudit fuzz bench-smoke
 
 # bench runs the write-path and read-path benchmarks and records the
 # results in BENCH_writepath.json and BENCH_readpath.json (see bench.sh).

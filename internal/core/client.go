@@ -382,6 +382,16 @@ func (l *ReplicatedLog) pump() {
 // session whose handshake is still in flight (it would stream records
 // on an unestablished peer) or about to fail and be deleted.
 func (l *ReplicatedLog) dial(addr string) (*session, error) {
+	return l.dialFor(addr, 0)
+}
+
+// initOps numbers initializations, so a session knows which one dialed
+// it (see session.initOp); zero is no initialization.
+var initOps atomic.Uint64
+
+// dialFor is dial on behalf of initialization op: a session it creates
+// hands op the first reads its SynAck carried.
+func (l *ReplicatedLog) dialFor(addr string, op uint64) (*session, error) {
 	for {
 		l.mu.Lock()
 		if l.closed {
@@ -419,6 +429,7 @@ func (l *ReplicatedLog) dial(addr string) (*session, error) {
 		sess.win = sendWindow{cwnd: l.cfg.WriteWindow, max: l.cfg.WriteWindow}
 		sess.onAck = l.streamAckEvent
 		sess.onBusy = l.streamBusyEvent
+		sess.initOp = op
 		l.sessions[addr] = sess
 		l.mu.Unlock()
 
@@ -460,25 +471,28 @@ func (l *ReplicatedLog) reportFloor(sess *session) {
 // initialize runs the Section 3.1.2 client initialization: gather
 // interval lists, obtain a new epoch, re-copy the doubtful tail under
 // it and install the copies. Every step fans out to the servers it
-// involves at once, and the epoch generator — which depends on nothing
-// the servers hold — runs alongside the gather and the tail read, so a
-// restart costs five round trips (handshake; interval lists ∥ epoch
-// read; tail read ∥ epoch write; CopyLog; InstallCopies) whatever M, N
-// and δ are.
+// involves at once, and a restart costs three round trips whatever M, N
+// and δ are: the handshake, whose SynAck carries each server's
+// interval list and epoch-representative value; the tail read beside
+// the epoch write; and CopyLog with InstallCopies right behind it.
 func (l *ReplicatedLog) initialize() error {
-	// Obtain a new epoch number, higher than any used before.
+	op := initOps.Add(1)
+	// Obtain a new epoch number, higher than any used before. The
+	// generator depends on nothing the servers hold, so it runs beside
+	// the gather and the tail read; its write must finish before any
+	// install, because a half-written epoch could be drawn again.
 	type epochResult struct {
 		epoch uint64
 		err   error
 	}
 	epochCh := make(chan epochResult, 1)
 	go func() {
-		epoch, err := l.newEpoch()
+		epoch, err := l.newEpoch(op)
 		epochCh <- epochResult{epoch, err}
 	}()
 
 	// Gather interval lists from at least M-N+1 servers.
-	lists := l.gatherIntervalLists()
+	lists := l.gatherIntervalLists(op)
 	if need := len(l.cfg.Servers) - l.cfg.N + 1; len(lists) < need {
 		<-epochCh
 		return fmt.Errorf("%w: have %d, need %d", ErrInitQuorum, len(lists), need)
@@ -577,7 +591,7 @@ func (l *ReplicatedLog) initialize() error {
 // server outside the preferred write set therefore costs a restart
 // nothing; its dial finishes, unheard, in the background (Close waits
 // for it).
-func (l *ReplicatedLog) gatherIntervalLists() map[string][]record.Interval {
+func (l *ReplicatedLog) gatherIntervalLists(op uint64) map[string][]record.Interval {
 	type answer struct {
 		addr string
 		ivs  []record.Interval
@@ -591,10 +605,10 @@ func (l *ReplicatedLog) gatherIntervalLists() map[string][]record.Interval {
 			a := answer{addr: addr}
 			defer func() { answers <- a }()
 			var sess *session
-			if sess, a.err = l.dial(addr); a.err != nil {
+			if sess, a.err = l.dialFor(addr, op); a.err != nil {
 				return
 			}
-			a.ivs, a.err = intervalList(sess)
+			a.ivs, a.err = intervalList(sess, op)
 		}(addr)
 	}
 	need := len(l.cfg.Servers) - l.cfg.N + 1
@@ -620,10 +634,15 @@ func (l *ReplicatedLog) gatherIntervalLists() map[string][]record.Interval {
 }
 
 // intervalList fetches the client's whole interval list from one
-// server: one call, unless the list has outgrown a packet, in which
-// case the older pages are fetched until one comes back short.
-func intervalList(sess *session) ([]record.Interval, error) {
-	var ivs []record.Interval
+// server. For initialization op on a session it dialed, the newest page
+// came with the handshake; otherwise it takes one call. Either way, a
+// full page may have older ones behind it, fetched until one comes back
+// short.
+func intervalList(sess *session, op uint64) ([]record.Interval, error) {
+	ivs, ok := sess.helloIntervals(op)
+	if ok && len(ivs) < wire.MaxHelloIntervals {
+		return ivs, nil
+	}
 	for {
 		req := wire.IntervalListReqPayload{Skip: uint32(len(ivs))}
 		resp, err := sess.call(wire.TIntervalListReq, req.Encode())
@@ -641,12 +660,13 @@ func intervalList(sess *session) ([]record.Interval, error) {
 	}
 }
 
-// newEpoch draws the next epoch from the replicated generator.
-func (l *ReplicatedLog) newEpoch() (uint64, error) {
+// newEpoch draws the next epoch from the replicated generator, on
+// behalf of initialization op (zero for none).
+func (l *ReplicatedLog) newEpoch(op uint64) (uint64, error) {
 	reps := l.cfg.EpochReps
 	if reps == nil {
 		for _, addr := range l.cfg.Servers {
-			reps = append(reps, &remoteRep{log: l, addr: addr})
+			reps = append(reps, &remoteRep{log: l, addr: addr, op: op})
 		}
 	}
 	gen, err := idgen.New(reps...)
@@ -656,51 +676,79 @@ func (l *ReplicatedLog) newEpoch() (uint64, error) {
 	return gen.NewID()
 }
 
-// installCopies stages the recovery records on one write-set server
-// and installs them.
+// installCopies stages the recovery records on one write-set server and
+// installs them in one round trip: the InstallCopies request leaves
+// right behind its CopyLog frames. The install names the LSN range it
+// must cover, so a server that has not (yet) staged all of it refuses
+// it and writes nothing; the client then awaits every CopyLog
+// acknowledgment — retrying lost frames — and installs again.
 func (l *ReplicatedLog) installCopies(addr string, staged []record.Record) error {
 	sess, err := l.dial(addr)
 	if err != nil {
 		return fmt.Errorf("core: recovery dial %s: %w", addr, err)
 	}
-	if err := l.sendCopies(sess, staged); err != nil {
+	copies, err := l.startCopies(sess, staged)
+	if err != nil {
 		return fmt.Errorf("core: CopyLog to %s: %w", addr, err)
 	}
 	faultpoint.Hit(FPInitCopied)
-	installPayload := (&wire.InstallPayload{Epoch: l.epoch}).Encode()
-	if _, err := sess.call(wire.TInstallCopiesReq, installPayload); err != nil {
+	install := rpc{t: wire.TInstallCopiesReq, payload: (&wire.InstallPayload{
+		Epoch: l.epoch, Low: staged[0].LSN, High: staged[len(staged)-1].LSN,
+	}).Encode()}
+	if err = sess.start(&install); err == nil {
+		_, err = sess.finish(&install)
+	}
+	if isNotStaged(err) {
+		// The install overtook one of its copies, or a copy was lost.
+		for i := range copies {
+			if _, err := sess.finish(&copies[i]); err != nil {
+				return fmt.Errorf("core: CopyLog to %s: %w", addr, err)
+			}
+		}
+		_, err = sess.call(wire.TInstallCopiesReq, install.payload)
+	} else {
+		for i := range copies {
+			sess.forget(copies[i].seq)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("core: InstallCopies on %s: %w", addr, err)
 	}
 	faultpoint.Hit(FPInitInstalled)
 	return nil
 }
 
-// sendCopies stages recovery records on one server in packet-sized
-// CopyLog calls, every frame sent before any reply is awaited — staging
-// is idempotent and order-free, so the whole tail costs one round trip.
-// The record-aware call path keeps the frame version honest when
-// re-copied records carry dependency vectors.
-func (l *ReplicatedLog) sendCopies(sess *session, staged []record.Record) error {
+// isNotStaged reports whether err is the server's refusal of an
+// install whose range is not wholly staged.
+func isNotStaged(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re) && re.Code == wire.CodeNotStaged
+}
+
+// startCopies sends the recovery records to one server in packet-sized
+// CopyLog calls, back to back, and returns the calls for finish —
+// staging is idempotent and order-free. The record-aware call path
+// keeps the frame version honest when re-copied records carry
+// dependency vectors.
+func (l *ReplicatedLog) startCopies(sess *session, staged []record.Record) ([]rpc, error) {
 	var calls []rpc
 	for len(staged) > 0 {
 		n := wire.FitRecords(staged)
 		if n == 0 {
-			return fmt.Errorf("core: recovery record too large for a packet")
+			return nil, fmt.Errorf("core: recovery record too large for a packet")
 		}
 		calls = append(calls, rpc{t: wire.TCopyLogReq, epoch: l.epoch, recs: staged[:n]})
 		staged = staged[n:]
 	}
 	for i := range calls {
 		if err := sess.start(&calls[i]); err != nil {
-			return err
+			for _, c := range calls[:i] {
+				sess.forget(c.seq)
+			}
+			return nil, err
 		}
 	}
-	for i := range calls {
-		if _, err := sess.finish(&calls[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return calls, nil
 }
 
 // Epoch returns the epoch number of this client incarnation.
@@ -1396,13 +1444,18 @@ func (l *ReplicatedLog) Close() error {
 type remoteRep struct {
 	log  *ReplicatedLog
 	addr string
+	op   uint64 // the initialization drawing the epoch, zero for none
 }
 
-// ReadState implements idgen.Representative.
+// ReadState implements idgen.Representative. During initialization
+// the read usually came with the handshake.
 func (r *remoteRep) ReadState() (uint64, error) {
-	sess, err := r.log.dial(r.addr)
+	sess, err := r.log.dialFor(r.addr, r.op)
 	if err != nil {
 		return 0, err
+	}
+	if v, ok, err := sess.helloEpoch(r.op); ok {
+		return v, err
 	}
 	resp, err := sess.call(wire.TEpochReadReq, (&wire.EpochValuePayload{}).Encode())
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"distlog/internal/faultpoint"
-	"distlog/internal/idgen"
 	"distlog/internal/record"
 	"distlog/internal/telemetry"
 	"distlog/internal/wire"
@@ -179,17 +178,7 @@ func (l *ReplicatedLog) Migrate(newSet []string) error {
 // quorum as initialization; a leaving server still answers epoch reads
 // while draining.
 func (l *ReplicatedLog) migrationEpoch() (record.Epoch, error) {
-	reps := l.cfg.EpochReps
-	if reps == nil {
-		for _, addr := range l.cfg.Servers {
-			reps = append(reps, &remoteRep{log: l, addr: addr})
-		}
-	}
-	gen, err := idgen.New(reps...)
-	if err != nil {
-		return 0, fmt.Errorf("core: migrate epoch quorum: %w", err)
-	}
-	epoch, err := gen.NewID()
+	epoch, err := l.newEpoch(0)
 	if err != nil {
 		return 0, fmt.Errorf("core: migrate epoch: %w", err)
 	}

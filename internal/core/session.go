@@ -82,10 +82,20 @@ type session struct {
 	// handed a session whose handshake is still in flight.
 	ready chan struct{}
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	hsErr     error      // handshake result; valid once ready is closed
-	ackedHigh record.LSN // highest stable LSN acknowledged (NewHighLSN)
+	// initOp names the initialization whose dial created the session,
+	// zero for any other dial: only that initialization may use what
+	// the SynAck carried (see helloIntervals, helloEpoch). Set before
+	// the session is published, never changed.
+	initOp uint64
+
+	mu    sync.Mutex
+	cond  *sync.Cond
+	hsErr error // handshake result; valid once ready is closed
+	// hello is what the SynAck carried: the server's first reads,
+	// each part handed out once (the taken flags), and only to initOp.
+	hello                *wire.SynAckPayload
+	ivsTaken, epochTaken bool
+	ackedHigh            record.LSN // highest stable LSN acknowledged (NewHighLSN)
 	// appendedHigh is the highest LSN the server reports appended (the
 	// second field of a streamed write ack): the retransmission rewind
 	// point — everything above it is presumed lost on a timeout.
@@ -181,6 +191,11 @@ func (s *session) handshake() error {
 		case pkt, ok := <-ch:
 			timer.Stop()
 			if ok && pkt.Type == wire.TSynAck {
+				if h, err := wire.DecodeSynAckPayload(pkt.Payload); err == nil {
+					s.mu.Lock()
+					s.hello = h
+					s.mu.Unlock()
+				}
 				s.peer.SetEstablished()
 				s.peer.Send(wire.TAck, pkt.Seq, nil)
 				return nil
@@ -193,6 +208,38 @@ func (s *session) handshake() error {
 		}
 	}
 	return fmt.Errorf("%w: handshake with %s", ErrCallTimeout, s.addr)
+}
+
+// helloIntervals hands the initialization op the interval-list page its
+// handshake brought, once; ok is false for anyone else, or after the
+// first taker, who must make the call.
+func (s *session) helloIntervals(op uint64) (ivs []record.Interval, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if op == 0 || op != s.initOp || s.hello == nil || s.ivsTaken {
+		return nil, false
+	}
+	s.ivsTaken = true
+	return s.hello.Intervals, true
+}
+
+// helloEpoch is helloIntervals for the epoch-representative read: the
+// value the SynAck carried, or the error the read call would return.
+// ok is false when the caller must make the call.
+func (s *session) helloEpoch(op uint64) (v uint64, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if op == 0 || op != s.initOp || s.hello == nil || s.epochTaken {
+		return 0, false, nil
+	}
+	s.epochTaken = true
+	switch s.hello.EpochState {
+	case wire.HelloEpoch:
+		return s.hello.Epoch, true, nil
+	case wire.HelloNoEpochHost:
+		return 0, true, &RemoteError{Code: wire.CodeBadRequest, Message: wire.NoEpochHostMessage}
+	}
+	return 0, false, nil // the server's read failed: the call reports why
 }
 
 // deliver routes one packet from the receive pump into the session.
@@ -244,21 +291,13 @@ func (s *session) deliver(pkt *wire.Packet) {
 		ch <- &cp
 	case pkt.Type == wire.TNewHighLSN:
 		// Decoded inline: the streamed-ack path runs continuously under
-		// load and must not allocate. A legacy 8-byte ack carries only
-		// the stable mark (stable == appended); the 16-byte streaming
-		// encoding adds the appended high-water mark that advances the
-		// send window.
-		var stable, appended record.LSN
-		switch len(pkt.Payload) {
-		case 8:
-			stable = record.LSN(binary.BigEndian.Uint64(pkt.Payload))
-			appended = stable
-		case 16:
-			stable = record.LSN(binary.BigEndian.Uint64(pkt.Payload[:8]))
-			appended = record.LSN(binary.BigEndian.Uint64(pkt.Payload[8:]))
-		default:
+		// load and must not allocate. The stable mark is followed by the
+		// appended high-water mark that advances the send window.
+		if len(pkt.Payload) != 16 {
 			return
 		}
+		stable := record.LSN(binary.BigEndian.Uint64(pkt.Payload[:8]))
+		appended := record.LSN(binary.BigEndian.Uint64(pkt.Payload[8:]))
 		s.mu.Lock()
 		if stable > s.ackedHigh {
 			s.ackedHigh = stable

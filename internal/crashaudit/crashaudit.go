@@ -453,7 +453,8 @@ func kindOf(point string) int {
 		point == storage.FPSegmentDelete,
 		point == storage.FPSyncDir,
 		point == retention.FPVolumeSeal,
-		point == retention.FPVolumeRetire:
+		point == retention.FPVolumeRetire,
+		point == retention.FPSyncDir:
 		return kindInject
 	default:
 		return kindServers

@@ -21,6 +21,7 @@ import (
 
 	"distlog/internal/appendforest"
 	"distlog/internal/faultpoint"
+	"distlog/internal/fsutil"
 	"distlog/internal/record"
 )
 
@@ -79,6 +80,11 @@ type Archive struct {
 	floors      map[record.ClientID]record.LSN
 	durable     map[record.ClientID]record.LSN
 	floorsDirty bool
+
+	// dirUnsynced marks a rewritten forest or overlay log renamed into
+	// place whose directory fsync failed: until one succeeds, Sync
+	// cannot promise that the name survives a crash.
+	dirUnsynced bool
 
 	// high is each client's highest archived LSN, rebuilt from volume
 	// scans on open: a client whose floor has passed it has nothing
@@ -636,8 +642,14 @@ func (a *Archive) rotateLocked() error {
 	if err != nil {
 		return err
 	}
+	// A volume whose entry may not survive a crash must take no frame:
+	// Sync would report it durable and then lose it with the file.
+	if err := fsutil.SyncDir(a.dir, FPSyncDir); err != nil {
+		nv.f.Close()
+		os.Remove(nv.path)
+		return err
+	}
 	a.vols = append(a.vols, nv)
-	syncDirRetention(a.dir)
 	return nil
 }
 
@@ -666,6 +678,12 @@ func (a *Archive) flushLocked() error {
 func (a *Archive) syncLocked() error {
 	if err := a.flushLocked(); err != nil {
 		return err
+	}
+	if a.dirUnsynced {
+		if err := fsutil.SyncDir(a.dir, FPSyncDir); err != nil {
+			return err
+		}
+		a.dirUnsynced = false
 	}
 	if err := a.active().sync(); err != nil {
 		return err
@@ -1054,10 +1072,23 @@ func (a *Archive) compactForestLocked(c record.ClientID, dead int64) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDirRetention(a.dir)
+	// The new log now holds the name: the old one is gone from the
+	// directory, so the archive moves over whether or not the
+	// directory sync succeeds. A failure is kept for Sync to retry.
 	a.nodeBytes += (nf.Len() - cf.forest.Len()) * appendforest.NodeSize
 	cf.store.Close()
 	a.forests[c] = &clientForest{store: store, forest: nf}
+	return a.syncRenamed()
+}
+
+// syncRenamed syncs the directory after a log was renamed into place,
+// leaving dirUnsynced set for the next Sync when it fails.
+func (a *Archive) syncRenamed() error {
+	a.dirUnsynced = true
+	if err := fsutil.SyncDir(a.dir, FPSyncDir); err != nil {
+		return err
+	}
+	a.dirUnsynced = false
 	return nil
 }
 
@@ -1098,14 +1129,13 @@ func (a *Archive) compactOverlayLocked() error {
 	}
 	path := filepath.Join(a.dir, archiveOverlayName)
 	tmp := path + ".tmp"
-	if err := writeFileSyncRetention(tmp, buf); err != nil {
+	if err := fsutil.WriteFileSync(tmp, buf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	syncDirRetention(a.dir)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
@@ -1117,7 +1147,7 @@ func (a *Archive) compactOverlayLocked() error {
 			delete(a.overlays, k)
 		}
 	}
-	return nil
+	return a.syncRenamed()
 }
 
 // writeManifestLocked durably replaces the manifest (tmp + fsync +
@@ -1141,14 +1171,18 @@ func (a *Archive) writeManifestLocked() error {
 
 	path := filepath.Join(a.dir, archiveManifestName)
 	tmp := path + ".tmp"
-	if err := writeFileSyncRetention(tmp, buf); err != nil {
+	if err := fsutil.WriteFileSync(tmp, buf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	syncDirRetention(a.dir)
+	// Until the rename is durable the floors are not: retirement must
+	// not delete on their word. floorsDirty stays set for a retry.
+	if err := fsutil.SyncDir(a.dir, FPSyncDir); err != nil {
+		return err
+	}
 	for c, f := range a.floors {
 		a.durable[c] = f
 	}
@@ -1323,31 +1357,3 @@ func (a *Archive) Close() error {
 
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("retention: archive is closed")
-
-// writeFileSyncRetention writes data to path and fsyncs it before
-// closing.
-func writeFileSyncRetention(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDirRetention fsyncs a directory so a just-created or just-
-// renamed file's entry is durable. Errors are ignored: some platforms
-// refuse directory fsync, and recovery tolerates a lost tail.
-func syncDirRetention(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}

@@ -15,6 +15,13 @@ const (
 	// unlinked: a crash here leaves a stray volume below the boundary,
 	// which OpenArchive deletes.
 	FPVolumeRetire = "retention.volume.retire"
+	// FPSyncDir is hit (via HitErr) by every directory fsync of the
+	// archive: after a volume is created, after a rewritten forest or
+	// overlay log and after the manifest are renamed into place. An
+	// injected error is a directory entry that may not survive a crash —
+	// the volume must take no frame, Sync must not report the rewritten
+	// log durable, and the manifest's floors must retire nothing.
+	FPSyncDir = "retention.archive.sync-dir"
 )
 
-var _ = faultpoint.Register(FPVolumeSeal, FPVolumeRetire)
+var _ = faultpoint.Register(FPVolumeSeal, FPVolumeRetire, FPSyncDir)

@@ -373,15 +373,13 @@ func (s *Server) shutdown() {
 }
 
 // dispatch routes one decoded packet. Syn is handled inline (it is
-// session lifecycle, and answering it before later packets of the same
-// client are processed preserves the handshake ordering); everything
-// else goes to the owning session's queue. The decoded packet aliases
-// raw's buffer, which is released once the handler — or the shed path —
-// is done with it.
+// session lifecycle); everything else — and the Syn's answer — goes to
+// the owning session's queue. The decoded packet aliases raw's buffer,
+// which is released once the handler — or the shed path — is done with
+// it.
 func (s *Server) dispatch(raw transport.Packet, pkt wire.Packet) {
 	if pkt.Type == wire.TSyn {
-		s.handleSyn(raw.From, &pkt)
-		raw.Release()
+		s.handleSyn(raw, pkt)
 		return
 	}
 
@@ -420,13 +418,17 @@ func (s *Server) dispatch(raw transport.Packet, pkt wire.Packet) {
 }
 
 // handleSyn creates, refreshes, or supersedes a session. It runs on
-// the receive loop: session lifecycle must serialize with dispatch,
-// and a SynAck must not be overtaken by the handling of the same
-// client's earlier queued packets.
-func (s *Server) handleSyn(from string, pkt *wire.Packet) {
+// the receive loop: session lifecycle must serialize with dispatch.
+// The SynAck carries reads of the store and the epoch host, which may
+// block, so the Syn is queued to the session's worker to answer (see
+// handleHello) — as the first item of a new session's queue, behind the
+// same client's earlier packets for a live one.
+func (s *Server) handleSyn(raw transport.Packet, pkt wire.Packet) {
+	from := raw.From
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
+		raw.Release()
 		return
 	}
 	key := sessionKey{from, pkt.ClientID}
@@ -440,8 +442,14 @@ func (s *Server) handleSyn(from string, pkt *wire.Packet) {
 		// never stored.
 		sess.lastActive.Store(time.Now().UnixNano())
 		s.mu.Unlock()
-		sess.peer.Observe(pkt)
-		sess.peer.Send(wire.TSynAck, pkt.Seq, nil)
+		select {
+		case sess.queue <- work{raw: raw, pkt: pkt}:
+		default:
+			// A full queue sheds the retransmission like any other
+			// packet; the client retries its handshake.
+			s.m.queueSheds.Add(1)
+			raw.Release()
+		}
 		return
 	}
 	if sess != nil && pkt.ConnID < sess.peer.ConnID {
@@ -455,6 +463,7 @@ func (s *Server) handleSyn(from string, pkt *wire.Packet) {
 		s.mu.Unlock()
 		s.m.packetsDropped.Add(1)
 		wire.SendRst(s.cfg.Endpoint, from, pkt.ClientID, pkt.ConnID, pkt.Seq)
+		raw.Release()
 		return
 	}
 	// New connection (or a new incarnation of the client): evict what
@@ -485,6 +494,7 @@ func (s *Server) handleSyn(from string, pkt *wire.Packet) {
 	}
 	sess.lastActive.Store(time.Now().UnixNano())
 	sess.peer.SetEstablished()
+	sess.queue <- work{raw: raw, pkt: pkt} // the empty queue's first item
 	s.sessions[key] = sess
 	s.m.sessions.Set(int64(len(s.sessions)))
 	s.m.nodeSessions.Set(int64(len(s.sessions)))
@@ -492,8 +502,34 @@ func (s *Server) handleSyn(from string, pkt *wire.Packet) {
 	go s.worker(sess)
 	go s.acker(sess)
 	s.mu.Unlock()
-	sess.peer.Observe(pkt)
-	sess.peer.Send(wire.TSynAck, pkt.Seq, nil)
+}
+
+// handleHello answers a Syn on the session's worker. The SynAck
+// carries the client's newest interval-list page and its epoch
+// representative's value — the first reads a restarting client makes —
+// taken now, after handleSyn retired any session this one superseded.
+func (s *Server) handleHello(sess *session, pkt *wire.Packet) {
+	resp := wire.SynAckPayload{Intervals: intervalPage(s.cfg.Store.Intervals(sess.clientID), 0, wire.MaxHelloIntervals)}
+	if s.cfg.Epochs == nil {
+		resp.EpochState = wire.HelloNoEpochHost
+	} else if v, err := s.cfg.Epochs.Rep(sess.clientID).ReadState(); err != nil {
+		resp.EpochState = wire.HelloEpochUnread
+	} else {
+		resp.Epoch = v
+	}
+	sess.peer.Send(wire.TSynAck, pkt.Seq, resp.Encode())
+}
+
+// intervalPage is the page of up to size intervals just older than the
+// skip most recent ones. Interval lists are short by design ("an
+// essential assumption of the replicated logging algorithm is that
+// interval lists are short"); a list that outgrows a packet anyway is
+// served a page at a time, the most recent intervals — the ones
+// initialization needs first — on the first page. The encoding is
+// fixed-width, so a page is a slice.
+func intervalPage(ivs []record.Interval, skip uint32, size int) []record.Interval {
+	end := max(0, len(ivs)-int(skip))
+	return ivs[max(0, end-size):end]
 }
 
 // evictLocked removes a session and stops its worker. Callers hold
@@ -571,6 +607,8 @@ func (s *Server) process(sess *session, pkt *wire.Packet) {
 	}
 
 	switch pkt.Type {
+	case wire.TSyn:
+		s.handleHello(sess, pkt)
 	case wire.TAck:
 		// Final leg of the handshake; nothing further to do.
 	case wire.TWriteLog:
@@ -895,15 +933,8 @@ func (s *Server) handleIntervalList(sess *session, pkt *wire.Packet) {
 		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, "bad interval list request")
 		return
 	}
-	ivs := s.cfg.Store.Intervals(sess.clientID)
-	// Interval lists are short by design ("an essential assumption of
-	// the replicated logging algorithm is that interval lists are
-	// short"); a list that outgrows a packet anyway is served a page at
-	// a time, the most recent intervals — the ones initialization needs
-	// first — on the first page and older ones as the client skips past
-	// what it has. The encoding is fixed-width, so a page is a slice.
-	end := max(0, len(ivs)-int(req.Skip))
-	resp := wire.IntervalListPayload{Intervals: ivs[max(0, end-wire.MaxIntervalsPerPacket):end]}
+	ivs := intervalPage(s.cfg.Store.Intervals(sess.clientID), req.Skip, wire.MaxIntervalsPerPacket)
+	resp := wire.IntervalListPayload{Intervals: ivs}
 	sess.peer.Send(wire.TIntervalListResp, pkt.Seq, resp.Encode())
 }
 
@@ -1116,10 +1147,14 @@ func (s *Server) handleInstallCopies(sess *session, pkt *wire.Packet) {
 		return
 	}
 	faultpoint.Hit(FPInstallBeforeCommit)
-	err = s.cfg.Store.InstallCopies(sess.clientID, p.Epoch)
-	if err != nil && !errors.Is(err, storage.ErrNoStagedCopies) {
-		// ErrNoStagedCopies means a retransmitted install whose first
-		// arrival already committed: acknowledge idempotently.
+	// The range check tells an install that overtook its copies (refused,
+	// retryable) from a retransmission of one already applied (answered
+	// idempotently by the store).
+	switch err := s.cfg.Store.InstallCopies(sess.clientID, p.Epoch, storage.Span{Low: p.Low, High: p.High}); {
+	case errors.Is(err, storage.ErrNotStaged):
+		sess.peer.SendErr(pkt.Seq, wire.CodeNotStaged, err.Error())
+		return
+	case err != nil:
 		sess.peer.SendErr(pkt.Seq, wire.CodeSequencing, err.Error())
 		return
 	}
@@ -1163,7 +1198,7 @@ func (s *Server) handleTruncate(sess *session, pkt *wire.Packet) {
 
 func (s *Server) handleEpochRead(sess *session, pkt *wire.Packet) {
 	if s.cfg.Epochs == nil {
-		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, "server hosts no epoch representative")
+		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, wire.NoEpochHostMessage)
 		return
 	}
 	v, err := s.cfg.Epochs.Rep(sess.clientID).ReadState()
@@ -1177,7 +1212,7 @@ func (s *Server) handleEpochRead(sess *session, pkt *wire.Packet) {
 
 func (s *Server) handleEpochWrite(sess *session, pkt *wire.Packet) {
 	if s.cfg.Epochs == nil {
-		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, "server hosts no epoch representative")
+		sess.peer.SendErr(pkt.Seq, wire.CodeBadRequest, wire.NoEpochHostMessage)
 		return
 	}
 	p, err := wire.DecodeEpochValuePayload(pkt.Payload)

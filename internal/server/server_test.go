@@ -297,7 +297,8 @@ func TestServerCopyLogAndInstall(t *testing.T) {
 	if pkt := r.recv(); pkt.Type != wire.TCopyLogResp || pkt.RespTo != seq {
 		t.Fatalf("CopyLog resp = %+v", pkt)
 	}
-	seq, _ = r.peer.Send(wire.TInstallCopiesReq, 0, (&wire.InstallPayload{Epoch: 4}).Encode())
+	install := (&wire.InstallPayload{Epoch: 4, Low: 9, High: 10}).Encode()
+	seq, _ = r.peer.Send(wire.TInstallCopiesReq, 0, install)
 	if pkt := r.recv(); pkt.Type != wire.TInstallCopiesResp || pkt.RespTo != seq {
 		t.Fatalf("InstallCopies resp = %+v", pkt)
 	}
@@ -306,9 +307,111 @@ func TestServerCopyLogAndInstall(t *testing.T) {
 		t.Fatalf("record 9 = %v, %v", rec, err)
 	}
 	// Retried install acks idempotently.
-	seq, _ = r.peer.Send(wire.TInstallCopiesReq, 0, (&wire.InstallPayload{Epoch: 4}).Encode())
+	seq, _ = r.peer.Send(wire.TInstallCopiesReq, 0, install)
 	if pkt := r.recv(); pkt.Type != wire.TInstallCopiesResp || pkt.RespTo != seq {
 		t.Fatalf("retried InstallCopies resp = %+v", pkt)
+	}
+}
+
+// TestServerRefusesInstallAheadOfItsCopies: an install that overtook
+// one of its CopyLog frames is refused with the retryable CodeNotStaged
+// and installs nothing — not acknowledged as the retransmission of an
+// install already applied — and succeeds once the missing copy lands.
+func TestServerRefusesInstallAheadOfItsCopies(t *testing.T) {
+	r := newRig(t)
+	r.handshake()
+	r.force(3, 1, 9)
+	r.recv()
+	copyLog := func(recs ...record.Record) {
+		t.Helper()
+		seq, _ := r.peer.Send(wire.TCopyLogReq, 0, (&wire.RecordsPayload{Epoch: 4, Records: recs}).Encode())
+		if pkt := r.recv(); pkt.Type != wire.TCopyLogResp || pkt.RespTo != seq {
+			t.Fatalf("CopyLog resp = %+v", pkt)
+		}
+	}
+	install := (&wire.InstallPayload{Epoch: 4, Low: 8, High: 10}).Encode()
+	for _, staged := range [][]record.Record{
+		nil, // the install arrives before any copy
+		{{LSN: 8, Epoch: 4, Present: true, Data: []byte("c8")}, {LSN: 10, Epoch: 4}}, // LSN 9's frame still in flight
+	} {
+		if staged != nil {
+			copyLog(staged...)
+		}
+		seq, _ := r.peer.Send(wire.TInstallCopiesReq, 0, install)
+		pkt := r.recv()
+		if pkt.Type != wire.TErrResp || pkt.RespTo != seq {
+			t.Fatalf("early install with %d staged: resp %+v, want a refusal", len(staged), pkt)
+		}
+		if ep, err := wire.DecodeErrPayload(pkt.Payload); err != nil || ep.Code != wire.CodeNotStaged {
+			t.Fatalf("early install with %d staged: %+v, %v, want CodeNotStaged", len(staged), ep, err)
+		}
+		if rec, err := r.store.Read(7, 8); err != nil || rec.Epoch != 3 {
+			t.Fatalf("refused install changed LSN 8: %v, %v", rec, err)
+		}
+		if _, epoch := r.store.LastKey(7); epoch != 3 {
+			t.Fatalf("refused install moved the client to epoch %d", epoch)
+		}
+	}
+	copyLog(record.Record{LSN: 9, Epoch: 4, Present: true, Data: []byte("c9")})
+	seq, _ := r.peer.Send(wire.TInstallCopiesReq, 0, install)
+	if pkt := r.recv(); pkt.Type != wire.TInstallCopiesResp || pkt.RespTo != seq {
+		t.Fatalf("install after the last copy: %+v", pkt)
+	}
+	for lsn, want := range map[record.LSN]string{8: "c8", 9: "c9"} {
+		if rec, err := r.store.Read(7, lsn); err != nil || rec.Epoch != 4 || string(rec.Data) != want {
+			t.Fatalf("LSN %d after install = %v, %v", lsn, rec, err)
+		}
+	}
+}
+
+// synAck sends a Syn and returns the SynAck's decoded payload.
+func (r *rig) synAck() *wire.SynAckPayload {
+	r.t.Helper()
+	seq, err := r.peer.Send(wire.TSyn, 0, nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	pkt := r.recv()
+	if pkt.Type != wire.TSynAck || pkt.RespTo != seq {
+		r.t.Fatalf("expected SynAck to %d, got %+v", seq, pkt)
+	}
+	p, err := wire.DecodeSynAckPayload(pkt.Payload)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return p
+}
+
+// TestServerSynAckCarriesFirstReads: the SynAck answers a restarting
+// client's first two reads — its interval list and its epoch
+// representative — as they stand when the Syn is handled, a
+// retransmitted Syn of the live session included.
+func TestServerSynAckCarriesFirstReads(t *testing.T) {
+	r := newRig(t)
+	if err := r.srv.cfg.Epochs.Rep(7).WriteState(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.store.Append(7, record.Record{LSN: 1, Epoch: 2, Present: true}); err != nil {
+		t.Fatal(err)
+	}
+	h := r.synAck()
+	if h.EpochState != wire.HelloEpoch || h.Epoch != 5 || len(h.Intervals) != 1 || h.Intervals[0] != (record.Interval{Epoch: 2, Low: 1, High: 1}) {
+		t.Fatalf("SynAck = %+v", h)
+	}
+	r.peer.SetEstablished()
+	if err := r.srv.cfg.Epochs.Rep(7).WriteState(6); err != nil {
+		t.Fatal(err)
+	}
+	if h := r.synAck(); h.Epoch != 6 || len(h.Intervals) != 1 {
+		t.Fatalf("retransmitted Syn: SynAck = %+v, want the fresh epoch 6", h)
+	}
+	if got := r.srv.Stats().Sessions; got != 1 {
+		t.Fatalf("%d sessions after a retransmitted Syn, want 1", got)
+	}
+
+	bare := newRig(t, func(c *Config) { c.Epochs = nil })
+	if h := bare.synAck(); h.EpochState != wire.HelloNoEpochHost || h.Epoch != 0 || len(h.Intervals) != 0 {
+		t.Fatalf("SynAck without an epoch host = %+v", h)
 	}
 }
 

@@ -373,14 +373,18 @@ func (e *engine) StageCopy(c record.ClientID, rec record.Record) error {
 // records if and only if the marker is in the stream. The marker is
 // made stable before the install is acknowledged, and nothing is
 // written for an install that cannot apply.
-func (e *engine) InstallCopies(c record.ClientID, epoch record.Epoch) error {
+func (e *engine) InstallCopies(c record.ClientID, epoch record.Epoch, want ...Span) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrClosed
 	}
-	staged, err := e.ix.takeStage(c, epoch)
+	sp, err := installSpan(want)
 	if err != nil {
+		return err
+	}
+	staged, err := e.ix.takeStage(c, epoch, sp)
+	if err != nil || staged == nil {
 		return err
 	}
 	e.scratch = encodeInstallEntry(e.scratch[:0], c, epoch)

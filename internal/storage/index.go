@@ -67,16 +67,39 @@ func (ix *logIndex) checkStage(c record.ClientID, rec record.Record) error {
 }
 
 // takeStage removes and returns the client's stage at epoch, in LSN
-// order, if an install of it can apply.
-func (ix *logIndex) takeStage(c record.ClientID, epoch record.Epoch) ([]stagedRec, error) {
-	if ci := ix.clients[c]; ci != nil && epoch < ci.lastEpoch {
+// order, if an install of it can apply: the stage holds every LSN of
+// want, when there is one (see Store.InstallCopies). It returns
+// nothing and no error when want is already installed at epoch.
+func (ix *logIndex) takeStage(c record.ClientID, epoch record.Epoch, want *Span) ([]stagedRec, error) {
+	ci := ix.clients[c]
+	if ci != nil && epoch < ci.lastEpoch {
 		return nil, fmt.Errorf("%w: install at epoch %d after %d", record.ErrEpochRegression, epoch, ci.lastEpoch)
+	}
+	if want != nil && !ix.stage.holds(c, epoch, *want) {
+		if ci != nil && installed(ci.intervals, epoch, *want) {
+			return nil, nil
+		}
+		return nil, ErrNotStaged
 	}
 	staged := ix.stage.take(c, epoch)
 	if len(staged) == 0 {
 		return nil, ErrNoStagedCopies
 	}
 	return staged, nil
+}
+
+// installed reports whether the interval list shows sp stored at
+// epoch: an install of it has already been applied.
+func installed(ivs []record.Interval, epoch record.Epoch, sp Span) bool {
+	if sp.High < sp.Low {
+		return true
+	}
+	for _, iv := range ivs {
+		if iv.Epoch == epoch && iv.Low <= sp.Low && sp.High <= iv.High {
+			return true
+		}
+	}
+	return false
 }
 
 // install indexes one record of a stage takeStage returned. Installed
@@ -119,7 +142,7 @@ func (ix *logIndex) apply(e streamEntry, loc int64) error {
 		// takeStage refuses a marker that was retried (an earlier
 		// marker consumed its stage) or whose stage died before it was
 		// written; such a marker changes nothing.
-		staged, _ := ix.takeStage(e.client, e.epoch)
+		staged, _ := ix.takeStage(e.client, e.epoch, nil)
 		for _, sr := range staged {
 			ix.install(e.client, sr.rec, sr.loc)
 		}

@@ -115,14 +115,18 @@ func (m *MemStore) StageCopy(c record.ClientID, rec record.Record) error {
 }
 
 // InstallCopies implements Store.
-func (m *MemStore) InstallCopies(c record.ClientID, epoch record.Epoch) error {
+func (m *MemStore) InstallCopies(c record.ClientID, epoch record.Epoch, want ...Span) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
 	}
-	staged, err := m.ix.takeStage(c, epoch)
+	sp, err := installSpan(want)
 	if err != nil {
+		return err
+	}
+	staged, err := m.ix.takeStage(c, epoch, sp)
+	if err != nil || staged == nil {
 		return err
 	}
 	for _, sr := range staged {

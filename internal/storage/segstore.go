@@ -12,9 +12,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 
 	"distlog/internal/faultpoint"
+	"distlog/internal/fsutil"
 	"distlog/internal/record"
 )
 
@@ -266,7 +266,7 @@ func (m *segments) create(base int64) (*segment, error) {
 	}
 	// An entry that may not survive a crash must not take records: they
 	// would be acknowledged stable and then vanish with the file.
-	if err := syncDir(m.dir); err != nil {
+	if err := fsutil.SyncDir(m.dir, FPSyncDir); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -669,14 +669,14 @@ func (s *SegStore) encodeManifest() []byte {
 func (s *SegStore) writeManifestFile(buf []byte) error {
 	path := filepath.Join(s.segs.dir, segManifestName)
 	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := fsutil.WriteFileSync(tmp, buf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(s.segs.dir)
+	return fsutil.SyncDir(s.segs.dir, FPSyncDir)
 }
 
 // loadManifest reads the manifest at path; a missing file yields the
@@ -750,42 +750,4 @@ func loadManifest(path string) (*manifestState, error) {
 		off += 33
 	}
 	return m, nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed file's
-// directory entry is durable. A filesystem that refuses directory fsync
-// outright (EINVAL, ENOTSUP) is tolerated — it offers no such guarantee
-// to wait for; any other failure is returned, because the entry may not
-// survive a crash.
-func syncDir(dir string) error {
-	if err := faultpoint.HitErr(FPSyncDir); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	d.Close()
-	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
-		return nil
-	}
-	return err
 }

@@ -40,6 +40,11 @@ var (
 	// ErrNoStagedCopies is returned by InstallCopies when nothing was
 	// staged for the client and epoch.
 	ErrNoStagedCopies = errors.New("storage: no staged copies to install")
+	// ErrNotStaged is returned by InstallCopies when a span it must
+	// cover is neither wholly staged nor already installed at the
+	// epoch: the install overtook (or lost) some of its copies. Nothing
+	// was written; the install may be retried once the copies land.
+	ErrNotStaged = errors.New("storage: install range not wholly staged")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("storage: store is closed")
 )
@@ -91,7 +96,13 @@ type Store interface {
 
 	// InstallCopies atomically installs all records staged for the
 	// client with the given epoch, in LSN order, then clears the stage.
-	InstallCopies(c record.ClientID, epoch record.Epoch) error
+	// want names at most one span (more is an error), and every LSN
+	// of it must be staged: otherwise, if the span is already
+	// installed at the epoch (a retransmitted install), it succeeds
+	// without writing anything, and if not it fails with ErrNotStaged
+	// and writes nothing. With no span it requires only a non-empty
+	// stage (ErrNoStagedCopies).
+	InstallCopies(c record.ClientID, epoch record.Epoch, want ...Span) error
 
 	// Truncate logically discards the client's records with LSNs below
 	// before (Section 5.3 log space management: the client calls this
@@ -332,6 +343,24 @@ func (g *rangeGather) fail(err error) ([]record.Record, error) {
 	return g.out, nil
 }
 
+// Span is an inclusive LSN range; one with High < Low is empty.
+type Span struct {
+	Low, High record.LSN
+}
+
+// installSpan returns the one span an InstallCopies call names, or
+// nil for none. The argument is variadic only so that callers naming
+// no span keep compiling; more than one span is refused.
+func installSpan(want []Span) (*Span, error) {
+	switch len(want) {
+	case 0:
+		return nil, nil
+	case 1:
+		return &want[0], nil
+	}
+	return nil, errors.New("storage: InstallCopies takes at most one span")
+}
+
 // stageKey identifies a staging area.
 type stageKey struct {
 	client record.ClientID
@@ -383,6 +412,25 @@ func (s *stage) take(c record.ClientID, epoch record.Epoch) []stagedRec {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].rec.LSN < out[j].rec.LSN })
 	return out
+}
+
+// holds reports whether the stage for (client, epoch) has a record at
+// every LSN of sp.
+func (s *stage) holds(c record.ClientID, epoch record.Epoch, sp Span) bool {
+	if sp.High < sp.Low {
+		return true
+	}
+	m := s.records[stageKey{c, epoch}]
+	n := uint64(sp.High - sp.Low)
+	if n >= uint64(len(m)) {
+		return false // more LSNs than staged records
+	}
+	for i := uint64(0); i <= n; i++ {
+		if _, ok := m[sp.Low+record.LSN(i)]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // dropBelow drops the client's staging areas at epochs below epoch.

@@ -270,6 +270,60 @@ func TestStoreStageAndInstall(t *testing.T) {
 	})
 }
 
+// An install names the range it must cover: a stage missing part of
+// it is refused with nothing written, a range already installed at the
+// epoch is a retransmission answered without writing, a range no
+// stage could hold is refused without walking it, and an install
+// naming more than one range is refused.
+func TestStoreInstallRangeCheck(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Store) {
+		const c = record.ClientID(1)
+		for i := record.LSN(1); i <= 9; i++ {
+			if err := s.Append(c, rec(i, 3, "old")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := Span{Low: 9, High: 10}
+		if err := s.StageCopy(c, rec(9, 4, "copied")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallCopies(c, 4, want); !errors.Is(err, ErrNotStaged) {
+			t.Fatalf("install ahead of copy 10 = %v, want ErrNotStaged", err)
+		}
+		if got, _ := s.Read(c, 9); got.Epoch != 3 {
+			t.Fatalf("refused install changed Read(9): %v", got)
+		}
+		if _, epoch := s.LastKey(c); epoch != 3 {
+			t.Fatalf("refused install moved the client to epoch %d", epoch)
+		}
+		if err := s.InstallCopies(c, 4, Span{Low: 1, High: ^record.LSN(0)}); !errors.Is(err, ErrNotStaged) {
+			t.Fatalf("install of the whole LSN space = %v, want ErrNotStaged", err)
+		}
+		if err := s.StageCopy(c, notPresent(10, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallCopies(c, 4, want, want); err == nil {
+			t.Fatal("install naming two spans was accepted")
+		}
+		if err := s.InstallCopies(c, 4, want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Read(c, 9); err != nil || got.Epoch != 4 {
+			t.Fatalf("post-install Read(9) = %v, %v", got, err)
+		}
+		n := len(s.Intervals(c))
+		if err := s.InstallCopies(c, 4, want); err != nil {
+			t.Fatalf("retransmitted install = %v, want the idempotent ack", err)
+		}
+		if err := s.InstallCopies(c, 4, Span{Low: 8, High: 10}); !errors.Is(err, ErrNotStaged) {
+			t.Fatalf("install of a range only partly installed = %v, want ErrNotStaged", err)
+		}
+		if got := len(s.Intervals(c)); got != n {
+			t.Fatalf("answered installs changed the interval list: %d intervals, had %d", got, n)
+		}
+	})
+}
+
 func TestStoreInstallNothingStaged(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, s Store) {
 		if err := s.InstallCopies(1, 5); !errors.Is(err, ErrNoStagedCopies) {

@@ -366,6 +366,61 @@ func DecodeIntervalListPayload(data []byte) (*IntervalListPayload, error) {
 	return &IntervalListPayload{Intervals: ivs}, nil
 }
 
+// MaxHelloIntervals is how many intervals a SynAck carries: the page
+// leaves room for the epoch trailer in one packet. A SynAck carrying
+// exactly this many may have older intervals behind it, fetched with
+// IntervalListReq calls skipping past them.
+const MaxHelloIntervals = (MaxPayload - 4 - helloEpochSize) / record.IntervalEncodedSize
+
+// helloEpochSize is the SynAck's epoch trailer: state byte + value.
+const helloEpochSize = 1 + 8
+
+// States of a SynAck's epoch read.
+const (
+	// HelloEpoch: Epoch holds the server's representative value.
+	HelloEpoch uint8 = iota
+	// HelloNoEpochHost: the server hosts no epoch representative.
+	HelloNoEpochHost
+	// HelloEpochUnread: the server's read failed; a TEpochReadReq
+	// call reports why.
+	HelloEpochUnread
+)
+
+// NoEpochHostMessage is the error a server without an epoch host gives
+// for the epoch operations.
+const NoEpochHostMessage = "server hosts no epoch representative"
+
+// SynAckPayload is the server's half of the handshake, carrying the
+// first two reads a restarting client makes of it — its newest
+// interval-list page and the epoch representative's value — read after
+// the handshake replaced any older session of the client. Encoded as
+// an IntervalListPayload followed by the state byte and the value.
+type SynAckPayload struct {
+	Intervals  []record.Interval // at most MaxHelloIntervals, ascending
+	EpochState uint8
+	Epoch      uint64 // zero unless EpochState is HelloEpoch
+}
+
+// Encode serializes the payload.
+func (p *SynAckPayload) Encode() []byte {
+	buf := record.EncodeIntervals(make([]byte, 0, 4+len(p.Intervals)*record.IntervalEncodedSize+helloEpochSize), p.Intervals)
+	buf = append(buf, p.EpochState)
+	return binary.BigEndian.AppendUint64(buf, p.Epoch)
+}
+
+// DecodeSynAckPayload parses a SynAckPayload.
+func DecodeSynAckPayload(data []byte) (*SynAckPayload, error) {
+	ivs, n, err := record.DecodeIntervals(data)
+	if err != nil || len(ivs) > MaxHelloIntervals || len(data)-n != helloEpochSize {
+		return nil, fmt.Errorf("%w: bad SynAck payload", ErrBadPacket)
+	}
+	p := &SynAckPayload{Intervals: ivs, EpochState: data[n], Epoch: binary.BigEndian.Uint64(data[n+1:])}
+	if p.EpochState > HelloEpochUnread || (p.EpochState != HelloEpoch && p.Epoch != 0) {
+		return nil, fmt.Errorf("%w: bad SynAck epoch state %d", ErrBadPacket, p.EpochState)
+	}
+	return p, nil
+}
+
 // EpochValuePayload carries the epoch-representative state value
 // (EpochRead responses and EpochWrite requests).
 type EpochValuePayload struct {
@@ -386,21 +441,36 @@ func DecodeEpochValuePayload(data []byte) (*EpochValuePayload, error) {
 }
 
 // InstallPayload asks the server to install staged copies at an epoch.
+// Low..High (inclusive) is the range the client staged: the server
+// installs only a stage holding every LSN in it, so an install that
+// overtook one of its CopyLog frames is refused (CodeNotStaged), never
+// mistaken for the retransmission of one already applied.
 type InstallPayload struct {
-	Epoch record.Epoch
+	Epoch     record.Epoch
+	Low, High record.LSN
 }
 
 // Encode serializes the payload.
 func (p *InstallPayload) Encode() []byte {
-	return binary.BigEndian.AppendUint64(nil, uint64(p.Epoch))
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 24), uint64(p.Epoch))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Low))
+	return binary.BigEndian.AppendUint64(buf, uint64(p.High))
 }
 
 // DecodeInstallPayload parses an InstallPayload.
 func DecodeInstallPayload(data []byte) (*InstallPayload, error) {
-	if len(data) != 8 {
+	if len(data) != 24 {
 		return nil, fmt.Errorf("%w: install payload %d bytes", ErrBadPacket, len(data))
 	}
-	return &InstallPayload{Epoch: record.Epoch(binary.BigEndian.Uint64(data))}, nil
+	p := &InstallPayload{
+		Epoch: record.Epoch(binary.BigEndian.Uint64(data)),
+		Low:   record.LSN(binary.BigEndian.Uint64(data[8:])),
+		High:  record.LSN(binary.BigEndian.Uint64(data[16:])),
+	}
+	if p.Low == 0 || p.High < p.Low {
+		return nil, fmt.Errorf("%w: install range %d..%d", ErrBadPacket, p.Low, p.High)
+	}
+	return p, nil
 }
 
 // Error codes carried by TErrResp.
@@ -415,6 +485,10 @@ const (
 	// a single reply packet. Distinct from CodeNotStored — the record
 	// exists, so the client must not treat the server as a non-holder.
 	CodeTooLarge
+	// CodeNotStaged: an InstallCopies found part of its range not (yet)
+	// staged and installed nothing. Retryable: the client awaits its
+	// CopyLog acknowledgments and sends the install again.
+	CodeNotStaged
 )
 
 // ErrPayload reports a failed call.

@@ -189,7 +189,7 @@ func TestSmallPayloadRoundTrips(t *testing.T) {
 	if err != nil || *gotEV != *ev {
 		t.Fatalf("EpochValue: %+v, %v", gotEV, err)
 	}
-	in := &InstallPayload{Epoch: 4}
+	in := &InstallPayload{Epoch: 4, Low: 3, High: 9}
 	gotIN, err := DecodeInstallPayload(in.Encode())
 	if err != nil || *gotIN != *in {
 		t.Fatalf("Install: %+v, %v", gotIN, err)
