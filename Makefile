@@ -32,12 +32,18 @@ CRASHAUDIT_ITERS ?= 200
 crashaudit:
 	$(GO) run ./cmd/crashaudit -iters $(CRASHAUDIT_ITERS)
 
-# fuzz runs the fuzz target of each handshake and install payload
-# decoder for 5 s, seeded from the committed goldens in
-# internal/wire/testdata.
+# fuzz runs each decoder fuzz target for 5 s: the handshake and install
+# payload decoders (seeded from the committed goldens in
+# internal/wire/testdata), the store's stream frame and manifest
+# decoders, the archive's data frame decoder, and the persistent
+# append-forest's open.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeSynAckPayload$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeInstallPayload$$' -fuzztime 5s
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 5s
+	$(GO) test ./internal/retention -run '^$$' -fuzz '^FuzzDecodeDataFrame$$' -fuzztime 5s
+	$(GO) test ./internal/appendforest -run '^$$' -fuzz '^FuzzOpenPersistent$$' -fuzztime 5s
 
 # soak runs the full-scale Section 5.3 log-space soak: a simulated
 # week of ET1 with periodic sharp checkpoints over segmented stores
@@ -78,7 +84,7 @@ bench-full:
 	done
 
 # check is the CI gate: tier-1 build+tests, vet, the race tier over the
-# client/wire/server packages, the crash-point audit, the payload fuzz
+# client/wire/server packages, the crash-point audit, the decoder fuzz
 # targets, and the benchmark smoke.
 check: build test vet race crashaudit fuzz bench-smoke
 

@@ -15,9 +15,10 @@
 #   BenchmarkUDPRecvAllocs          allocation budget for the pooled UDP
 #                                   receive path (send+recv+release)
 #   BenchmarkMultiClientForce       aggregate forces/s across 1/4/8/16
-#                                   concurrent clients, SegStore (fsync)
-#                                   and modelled DiskStore (server-side
-#                                   group force scaling)
+#                                   concurrent clients, SegStore on segment
+#                                   files (seg: fsync) and on the modelled
+#                                   track disk behind NVRAM (modelled):
+#                                   server-side group force scaling
 #   BenchmarkStreamingWrite         single-client sustained records/s on a
 #                                   200µs-latency memnet through the
 #                                   streaming write pipeline (sliding

@@ -146,27 +146,20 @@ type (
 // NewMemStore returns a volatile in-memory store.
 func NewMemStore() Store { return storage.NewMemStore() }
 
-// NewModelledStore returns a store over a simulated track disk fronted
+// NewModelledStore returns a SegStore on a simulated track disk fronted
 // by battery-backed NVRAM sized to nvramTracks tracks, along with the
-// devices (which survive simulated power failures and can be passed to
-// a future NewDiskStoreOver call).
+// devices, which survive simulated power failures.
 func NewModelledStore(g DiskGeometry, nvramTracks int) (Store, *Disk, *NVRAM, error) {
 	d, err := disk.New(g)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	nv := nvram.New(nvramTracks * g.TrackSize)
-	s, err := storage.NewDiskStore(d, nv)
+	s, err := storage.OpenTrackStore(d, nv, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return s, d, nv, nil
-}
-
-// NewDiskStoreOver reopens a store over existing devices (a server
-// node reboot).
-func NewDiskStoreOver(d *Disk, nv *NVRAM) (Store, error) {
-	return storage.NewDiskStore(d, nv)
 }
 
 // Log space management (Section 5.3).

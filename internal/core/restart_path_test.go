@@ -95,9 +95,9 @@ func TestReplyBeforeSendReturns(t *testing.T) {
 	}
 }
 
-// tinyDiskStore is a DiskStore over a disk of a few small tracks: it
+// tinyModelledStore is a store on a modelled disk of a few small tracks: it
 // fills after a few kilobytes.
-func tinyDiskStore(t *testing.T) storage.Store {
+func tinyModelledStore(t *testing.T) storage.Store {
 	t.Helper()
 	g := disk.DefaultGeometry()
 	g.Cylinders, g.TracksPerCylinder, g.TrackSize = 2, 2, 512
@@ -105,7 +105,7 @@ func tinyDiskStore(t *testing.T) storage.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := storage.NewDiskStore(d, nvram.New(2*g.TrackSize))
+	s, err := storage.OpenTrackStore(d, nvram.New(2*g.TrackSize), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFullStoreFailsOverThenFailsLoudly(t *testing.T) {
 	writeSet := loadassign.Pick(1, 2, names)
 	for _, name := range writeSet {
 		c.stop(name)
-		c.stores[name] = tinyDiskStore(t)
+		c.stores[name] = tinyModelledStore(t)
 		c.start(name)
 	}
 	const callTimeout = 200 * time.Millisecond

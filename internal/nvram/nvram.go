@@ -37,6 +37,9 @@ type NVRAM struct {
 	buf       []byte
 	size      int
 	poweredOn bool
+	// drained counts every byte Drain has removed since the device was
+	// made: the buffer's head pointer, kept in the same stable memory.
+	drained int64
 
 	cells map[string]*cell
 }
@@ -113,7 +116,17 @@ func (n *NVRAM) Drain(max int) []byte {
 	copy(out, n.buf[:max])
 	remain := copy(n.buf, n.buf[max:])
 	n.buf = n.buf[:remain]
+	n.drained += int64(max)
 	return out
+}
+
+// Drained returns how many bytes Drain has removed in the device's
+// lifetime. It survives a Crash with the buffer, so a recovering owner
+// can tell which of the bytes it staged have left the buffer.
+func (n *NVRAM) Drained() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.drained
 }
 
 // Crash simulates loss of power to the host while the battery keeps

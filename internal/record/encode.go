@@ -104,6 +104,9 @@ func DecodeRecordAlias(buf []byte) (Record, int, error) {
 	r.LSN = LSN(binary.BigEndian.Uint64(buf[0:8]))
 	r.Epoch = Epoch(binary.BigEndian.Uint64(buf[8:16]))
 	flags := buf[16]
+	if flags&^(flagPresent|flagDeps) != 0 {
+		return Record{}, 0, fmt.Errorf("record: unknown flags 0x%02x", flags)
+	}
 	r.Present = flags&flagPresent != 0
 	n := binary.BigEndian.Uint32(buf[17:21])
 	if n > MaxDataSize {

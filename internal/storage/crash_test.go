@@ -12,26 +12,41 @@ import (
 	"distlog/internal/record"
 )
 
-// diskRig owns the devices so a store can be crashed and reopened.
-type diskRig struct {
-	d  *disk.Disk
-	nv *nvram.NVRAM
+// trackRig owns the devices of a track volume, so a store on it can be
+// crashed and reopened.
+type trackRig struct {
+	d    *disk.Disk
+	nv   *nvram.NVRAM
+	arch ArchiveTier
 }
 
-func newDiskRig(t *testing.T, trackSize int) *diskRig {
-	t.Helper()
+// trackGeometry is the default disk with the given track size and, when
+// tracks > 0, about that many tracks (four to a cylinder).
+func trackGeometry(trackSize, tracks int) disk.Geometry {
 	g := disk.DefaultGeometry()
 	g.TrackSize = trackSize
+	if tracks > 0 {
+		g.Cylinders = max(1, tracks/g.TracksPerCylinder)
+	}
+	return g
+}
+
+func newTrackRig(t testing.TB, g disk.Geometry) *trackRig {
+	t.Helper()
 	d, err := disk.New(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &diskRig{d: d, nv: nvram.New(4 * trackSize)}
+	return &trackRig{d: d, nv: nvram.New(4 * g.TrackSize)}
 }
 
-func (r *diskRig) open(t *testing.T) *DiskStore {
+func newDiskRig(t *testing.T, trackSize int) *trackRig {
+	return newTrackRig(t, trackGeometry(trackSize, 0))
+}
+
+func (r *trackRig) open(t testing.TB) *SegStore {
 	t.Helper()
-	s, err := NewDiskStore(r.d, r.nv)
+	s, err := OpenTrackStore(r.d, r.nv, r.arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +54,13 @@ func (r *diskRig) open(t *testing.T) *DiskStore {
 }
 
 // crash simulates a power failure and restart of the server node.
-func (r *diskRig) crash(s *DiskStore) {
+func (r *trackRig) crash(s *SegStore) {
 	s.Close()
 	r.nv.Crash()
 	r.nv.Restart()
 }
 
-func TestDiskStorePowerFailureRecovery(t *testing.T) {
+func TestTrackStorePowerFailureRecovery(t *testing.T) {
 	rig := newDiskRig(t, 512)
 	s := rig.open(t)
 	const c = record.ClientID(42)
@@ -85,7 +100,11 @@ func TestDiskStorePowerFailureRecovery(t *testing.T) {
 	}
 }
 
-func TestDiskStoreTornTrackRecovery(t *testing.T) {
+// A power failure during a track write tears that track. The store
+// drains bytes from NVRAM only after a track write succeeds, so the
+// torn track's bytes are still staged: recovery reads them from NVRAM
+// and the next drain rewrites the track.
+func TestTrackStoreTornTrackRecovery(t *testing.T) {
 	rig := newDiskRig(t, 512)
 	s := rig.open(t)
 	const c = record.ClientID(1)
@@ -94,42 +113,22 @@ func TestDiskStoreTornTrackRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Tear the most recently written track: power failed during its
-	// write. The NVRAM still stages those bytes because the store only
-	// drains after a successful track write... the torn track here is
-	// the *next* write: emulate by tearing the last written track AND
-	// verifying recovery refuses to lose data it still holds.
 	writes := rig.d.Stats().TrackWrites
 	if writes < 2 {
 		t.Fatalf("need >= 2 track writes, got %d", writes)
 	}
-	s.Close()
-	rig.nv.Crash()
-	rig.nv.Restart()
-	// Note: tearing a successfully drained track would lose data in any
-	// design (the stable copy was destroyed after the buffer released
-	// it); the paper's model is that a torn track is one whose write
-	// was interrupted, i.e. whose bytes are still in the buffer. We
-	// verify that case: re-stage the last track's bytes, tear the
-	// track, and recover.
-	last := int(writes) - 1
-	data, _, err := rig.d.ReadTrack(last)
-	if err != nil {
+	// The store's first segment starts at track 0 and writes its tracks
+	// in order: the next write, the one in flight, is track `writes`.
+	// Complete it as the store would, then fail the power before the
+	// store could drain NVRAM, tearing the track.
+	staged := rig.nv.Staged()
+	if _, err := rig.d.WriteTrack(int(writes), staged[:min(len(staged), 512)]); err != nil {
 		t.Fatal(err)
 	}
-	// Reconstruct the pre-drain NVRAM state: the torn track's bytes
-	// followed by whatever is staged now.
-	tail := rig.nv.Drain(-1)
-	if err := rig.nv.Append(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.nv.Append(tail); err != nil {
-		t.Fatal(err)
-	}
-	rig.d.Crash(last)
+	rig.crash(s)
+	rig.d.Crash(int(writes))
 
 	s2 := rig.open(t)
-	defer s2.Close()
 	for i := record.LSN(1); i <= 60; i++ {
 		if _, err := s2.Read(c, i); err != nil {
 			t.Fatalf("Read(%d) after torn-track recovery: %v", i, err)
@@ -141,14 +140,17 @@ func TestDiskStoreTornTrackRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rig.crash(s2)
+	s3 := rig.open(t)
+	defer s3.Close()
 	for i := record.LSN(1); i <= 120; i++ {
-		if _, err := s2.Read(c, i); err != nil {
+		if _, err := s3.Read(c, i); err != nil {
 			t.Fatalf("Read(%d) after heal: %v", i, err)
 		}
 	}
 }
 
-func TestDiskStoreStagedCopiesWithoutInstallDiscarded(t *testing.T) {
+func TestTrackStoreStagedCopiesWithoutInstallDiscarded(t *testing.T) {
 	rig := newDiskRig(t, 512)
 	s := rig.open(t)
 	const c = record.ClientID(1)
@@ -193,7 +195,7 @@ func TestDiskStoreStagedCopiesWithoutInstallDiscarded(t *testing.T) {
 	}
 }
 
-func TestDiskStoreInstallSurvivesCrash(t *testing.T) {
+func TestTrackStoreInstallSurvivesCrash(t *testing.T) {
 	rig := newDiskRig(t, 512)
 	s := rig.open(t)
 	const c = record.ClientID(1)
@@ -220,7 +222,8 @@ func TestDiskStoreInstallSurvivesCrash(t *testing.T) {
 
 // legacyCheckpointFrame is an interval-list checkpoint frame as earlier
 // versions wrote it: one client (9) with one interval (epoch 1, LSNs
-// 1–10). Nothing writes these any more; replay must still skip them.
+// 1–10). Nothing has written these for a long time, and nothing decodes
+// them: the frame is as bad as any other unknown kind.
 var legacyCheckpointFrame = []byte{
 	0x04, 0x00, 0x00, 0x00, 0x28, // kind, payload length 40
 	0x00, 0x00, 0x00, 0x01, // one client
@@ -232,63 +235,49 @@ var legacyCheckpointFrame = []byte{
 	0x25, 0x79, 0x7d, 0xe2, // CRC-32
 }
 
-func TestDiskStoreCheckpointRoundTrip(t *testing.T) {
-	rig := newDiskRig(t, 512)
-	s := rig.open(t)
-	const c = record.ClientID(9)
-	for i := record.LSN(1); i <= 10; i++ {
-		if err := s.Append(c, rec(i, 1, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rig.crash(s)
-	if err := rig.nv.Append(legacyCheckpointFrame); err != nil {
-		t.Fatal(err)
-	}
-	s = rig.open(t)
-	for i := record.LSN(11); i <= 20; i++ {
-		if err := s.Append(c, rec(i, 1, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rig.crash(s)
-	s2 := rig.open(t)
-	defer s2.Close()
-	ivs := s2.Intervals(c)
-	if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 20}) {
-		t.Fatalf("Intervals after replaying a checkpoint frame = %v", ivs)
-	}
-	if got, err := s2.Read(c, 15); err != nil || got.LSN != 15 {
-		t.Fatalf("Read(15) = %v, %v", got, err)
-	}
-}
-
-func TestSegStoreReplaysLegacyCheckpointFrame(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegStore(dir, SegOptions{})
-	if err != nil {
-		t.Fatal(err)
+func TestLegacyCheckpointFrameIsBad(t *testing.T) {
+	if _, _, err := decodeFrame(legacyCheckpointFrame); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("decodeFrame(checkpoint) = %v, want ErrBadFrame", err)
 	}
 	const c = record.ClientID(9)
-	fillSeg(t, s, c, 10)
-	s.Close()
-	appendToSegment(t, dir, legacyCheckpointFrame)
+	// At the end of a directory volume's active segment it is a torn
+	// tail: cut off, and the store goes on.
+	t.Run("seg", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenSegStore(dir, SegOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSeg(t, s, c, 10)
+		s.Close()
+		appendToSegment(t, dir, legacyCheckpointFrame)
 
-	s, err = OpenSegStore(dir, SegOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Append(c, rec(11, 1, "after")); err != nil {
-		t.Fatal(err)
-	}
-	ivs := s.Intervals(c)
-	if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 11}) {
-		t.Fatalf("Intervals after replaying a checkpoint frame = %v", ivs)
-	}
-	if got, err := s.Read(c, 11); err != nil || string(got.Data) != "after" {
-		t.Fatalf("Read(11) = %v, %v", got, err)
-	}
+		s, err = OpenSegStore(dir, SegOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Append(c, rec(11, 1, "after")); err != nil {
+			t.Fatal(err)
+		}
+		ivs := s.Intervals(c)
+		if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 11}) {
+			t.Fatalf("Intervals = %v", ivs)
+		}
+	})
+	// On the track volume nothing is torn: it fails the open.
+	t.Run("disk", func(t *testing.T) {
+		rig := newDiskRig(t, 512)
+		s := rig.open(t)
+		fillClient(t, s, c, 10)
+		rig.crash(s)
+		if err := rig.nv.Append(legacyCheckpointFrame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenTrackStore(rig.d, rig.nv, nil); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("open over a checkpoint frame = %v, want ErrBadFrame", err)
+		}
+	})
 }
 
 // appendToSegment appends raw bytes to the newest segment file in dir.
@@ -305,13 +294,105 @@ func appendToSegment(t *testing.T, dir string, b []byte) {
 	}
 }
 
-func TestDiskStoreNVRAMTooSmall(t *testing.T) {
+// A run of zero bytes is not a frame. It used to decode as padding and
+// be skipped a byte at a time, so a zeroed frame in a sealed segment
+// reopened without error, and the record in it was gone without a
+// word. Now it fails the open; only a directory volume's active
+// segment may cut it off, as a torn tail.
+func TestZeroedFrameFailsClosed(t *testing.T) {
+	const c = record.ClientID(1)
+	// frameOf locates the frame holding the client's record.
+	frameOf := func(t *testing.T, s *SegStore, lsn record.LSN) (loc int64, n int) {
+		t.Helper()
+		ref, ok := s.ix.clients[c].lookup(lsn)
+		if !ok {
+			t.Fatalf("LSN %d not indexed", lsn)
+		}
+		got, err := s.Read(c, lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref.loc, len(encodeRecordEntry(nil, kindRecord, c, got))
+	}
+	t.Run("seg/sealed", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSeg(t, s, c, 200)
+		loc, n := frameOf(t, s, 6)
+		s.Close()
+		zeroFileBytes(t, filepath.Join(dir, segFiles(t, dir)[0]), loc, n)
+		if _, err := OpenSegStore(dir, SegOptions{SegmentBytes: 4096}); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("reopen over a zeroed sealed frame = %v, want ErrBadFrame", err)
+		}
+	})
+	t.Run("seg/active-tail", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSeg(t, s, c, 200)
+		loc, n := frameOf(t, s, 200)
+		base := s.segs.active().base
+		s.Close()
+		files := segFiles(t, dir)
+		zeroFileBytes(t, filepath.Join(dir, files[len(files)-1]), loc-base, n)
+		s, err = OpenSegStore(dir, SegOptions{SegmentBytes: 4096})
+		if err != nil {
+			t.Fatalf("reopen over a zeroed active tail: %v", err)
+		}
+		defer s.Close()
+		if lsn, _ := s.LastKey(c); lsn != 199 {
+			t.Fatalf("LastKey = %d, want the zeroed tail record 200 cut off", lsn)
+		}
+	})
+	t.Run("disk/sealed", func(t *testing.T) {
+		// Four 1 KiB slots; segment 0 fills slot 0, tracks 0-3.
+		rig := newTrackRig(t, trackGeometry(256, 16))
+		s := rig.open(t)
+		fillClient(t, s, c, 60)
+		loc, n := frameOf(t, s, 6)
+		rig.crash(s)
+		for ; n > 0; loc, n = loc+1, n-1 {
+			track, at := int(loc/256), int(loc%256)
+			data, _, err := rig.d.ReadTrack(track)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[at] = 0
+			if _, err := rig.d.WriteTrack(track, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := OpenTrackStore(rig.d, rig.nv, nil); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("reopen over a zeroed sealed frame = %v, want ErrBadFrame", err)
+		}
+	})
+}
+
+// zeroFileBytes overwrites n bytes of the file at off with zeros.
+func zeroFileBytes(t *testing.T, path string, off int64, n int) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(make([]byte, n), off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTrackStoreNVRAMTooSmall(t *testing.T) {
 	g := disk.DefaultGeometry()
 	d, err := disk.New(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDiskStore(d, nvram.New(g.TrackSize)); err == nil {
+	if _, err := OpenTrackStore(d, nvram.New(g.TrackSize), nil); err == nil {
 		t.Fatal("NVRAM smaller than two tracks accepted")
 	}
 }
@@ -385,7 +466,7 @@ func TestSegStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
 	}
 }
 
-func TestDiskStoreManyTracksAndClients(t *testing.T) {
+func TestTrackStoreManyTracksAndClients(t *testing.T) {
 	rig := newDiskRig(t, 1024)
 	s := rig.open(t)
 	clients := []record.ClientID{1, 2, 3, 4, 5}
@@ -414,38 +495,29 @@ func TestDiskStoreManyTracksAndClients(t *testing.T) {
 	}
 }
 
-func BenchmarkDiskStoreAppendForce(b *testing.B) {
-	g := disk.DefaultGeometry()
-	newStore := func() *DiskStore {
-		d, err := disk.New(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := NewDiskStore(d, nvram.New(4*g.TrackSize))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	s := newStore()
-	defer func() { s.Close() }()
+// BenchmarkTrackStoreAppendForce appends and forces on the default
+// modelled disk, truncating and compacting as a server's compactor
+// would, so a long run outlasts the platter.
+func BenchmarkTrackStoreAppendForce(b *testing.B) {
+	s := newTrackRig(b, disk.DefaultGeometry()).open(b)
+	defer s.Close()
 	data := make([]byte, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := record.Record{LSN: record.LSN(i + 1), Epoch: 1, Present: true, Data: data}
-		err := s.Append(1, r)
-		if errors.Is(err, ErrDiskFull) {
-			// Long benchmark runs outlast the modelled platter: swap in
-			// a fresh volume and keep appending.
-			s.Close()
-			s = newStore()
-			err = s.Append(1, r)
-		}
-		if err != nil {
+		if err := s.Append(1, r); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.Force(); err != nil {
 			b.Fatal(err)
+		}
+		if i%4096 == 4095 {
+			if err := s.Truncate(1, r.LSN); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.CompactOnce(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -558,10 +630,12 @@ func TestReplayIgnoresDeadInstallMarker(t *testing.T) {
 	stream = encodeRecordEntry(stream, kindStagedCopy, c, rec(3, 2, "copy"))
 	stream = encodeRecordEntry(stream, kindRecord, c, rec(4, 3, "y"))
 	stream = encodeRecordEntry(stream, kindStagedCopy, c, rec(2, 2, "late-copy"))
-	stream = encodeInstallEntry(stream, c, 2)
+	stream = encodeArgEntry(stream, kindInstall, c, 2)
 
 	t.Run("disk", func(t *testing.T) {
+		// The stream is the staged tail of the volume's active segment.
 		rig := newDiskRig(t, 512)
+		rig.crash(rig.open(t))
 		if err := rig.nv.Append(stream); err != nil {
 			t.Fatal(err)
 		}

@@ -7,21 +7,19 @@ import (
 	"path/filepath"
 	"testing"
 
-	"distlog/internal/disk"
-	"distlog/internal/nvram"
 	"distlog/internal/record"
 	"distlog/internal/retention"
 )
 
-// TestDifferentialBackends drives the memory store and the engine on
-// both media (simulated disk, segment files) with the same random
+// TestDifferentialBackends drives the memory store and SegStore on both
+// volumes (the modelled track disk, segment files) with the same random
 // operation sequence and requires every observable — append outcomes,
 // reads, range reads, interval lists, last keys — to agree exactly. The
-// memory store shares only the index rules with the engine and is
-// simple enough to review by eye; agreement transfers that confidence
-// to the engine. A second segmented store runs over a
-// real archive tier and is compacted, retired and reopened as it goes,
-// so its reads keep crossing the hot/cold boundary.
+// memory store shares only the index rules with SegStore and is simple
+// enough to review by eye; agreement transfers that confidence to
+// SegStore. On each volume a second store runs over a real archive tier
+// and is compacted, retired and reopened as it goes, so its reads keep
+// crossing the hot/cold boundary.
 func TestDifferentialBackends(t *testing.T) {
 	for _, seed := range []int64{3, 17, 2026} {
 		seed := seed
@@ -34,16 +32,8 @@ func TestDifferentialBackends(t *testing.T) {
 func differentialRun(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 
-	g := disk.DefaultGeometry()
-	g.TrackSize = 512
-	d, err := disk.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := NewDiskStore(d, nvram.New(4*g.TrackSize))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Small tracks: 64-track segments of 8 KiB.
+	ds := newTrackRig(t, trackGeometry(128, 0)).open(t)
 	// Segments of a few frames each, so range reads cross extents.
 	ss, err := OpenSegStore(filepath.Join(t.TempDir(), "seg"), SegOptions{SegmentBytes: 256})
 	if err != nil {
@@ -64,7 +54,20 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 	}
 	cold, arch := openCold()
 	defer func() { arch.Close() }()
-	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "seg": ss, "cold": cold}
+	// The track volume's cold store: 4 KiB segments.
+	rig := newTrackRig(t, trackGeometry(64, 0))
+	openTrackCold := func() (*SegStore, *retention.Archive) {
+		t.Helper()
+		arch, err := retention.OpenArchive(filepath.Join(coldDir, "track-archive"), retention.ArchiveOptions{VolumeBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.arch = arch
+		return rig.open(t), arch
+	}
+	tcold, tarch := openTrackCold()
+	defer func() { tarch.Close() }()
+	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "seg": ss, "cold": cold, "tcold": tcold}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -87,7 +90,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 		var wantOut string
 		var wantErr error
 		first := true
-		for _, name := range []string{"mem", "disk", "seg", "cold"} {
+		for _, name := range []string{"mem", "disk", "seg", "cold", "tcold"} {
 			out, err := fn(stores[name])
 			if first {
 				wantOut, wantErr, first = out, err, false
@@ -197,24 +200,10 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 			apply("force", func(s Store) (string, error) { return "", s.Force() })
 			switch rng.Intn(4) {
 			case 0:
-				for {
-					ok, err := cold.CompactOnce()
-					if err != nil {
-						t.Fatalf("step %d: CompactOnce: %v", step, err)
-					}
-					if !ok {
-						break
-					}
-				}
-				for {
-					ok, err := arch.RetireOnce()
-					if err != nil {
-						t.Fatalf("step %d: RetireOnce: %v", step, err)
-					}
-					if !ok {
-						break
-					}
-				}
+				compactAll(t, cold)
+				retireAll(t, arch)
+				compactAll(t, tcold)
+				retireAll(t, tarch)
 			case 1:
 				if err := cold.Close(); err != nil {
 					t.Fatal(err)
@@ -224,6 +213,12 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 				}
 				cold, arch = openCold()
 				stores["cold"] = cold
+				rig.crash(tcold)
+				if err := tarch.Close(); err != nil {
+					t.Fatal(err)
+				}
+				tcold, tarch = openTrackCold()
+				stores["tcold"] = tcold
 			}
 		default: // truncate
 			if maxSeen[c] < 4 {
@@ -249,6 +244,20 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 				}
 				return rec.String() + string(rec.Data), nil
 			})
+		}
+	}
+}
+
+// retireAll runs RetireOnce until it retires nothing more.
+func retireAll(t *testing.T, arch *retention.Archive) {
+	t.Helper()
+	for {
+		ok, err := arch.RetireOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return
 		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // logIndex is a store's volatile state: the per-client indexes and the
-// CopyLog staging areas. The engine keeps one live, replay rebuilds one
-// from the stream, SegStore folds reclaimed segments into one, and
-// MemStore keeps its own; all four go through the rules below, so they
-// agree on what a stream means.
+// CopyLog staging areas. SegStore keeps one live and folds reclaimed
+// segments into a second, replay rebuilds one from the stream, and
+// MemStore keeps its own; all go through the rules below, so they agree
+// on what a stream means.
 type logIndex struct {
 	clients map[record.ClientID]*clientIndex
 	stage   *stage
@@ -142,15 +142,13 @@ func (ix *logIndex) apply(e streamEntry, loc int64) error {
 		// takeStage refuses a marker that was retried (an earlier
 		// marker consumed its stage) or whose stage died before it was
 		// written; such a marker changes nothing.
-		staged, _ := ix.takeStage(e.client, e.epoch, nil)
+		staged, _ := ix.takeStage(e.client, record.Epoch(e.arg), nil)
 		for _, sr := range staged {
 			ix.install(e.client, sr.rec, sr.loc)
 		}
 	case kindTruncate:
-		ix.client(e.client).truncate(e.before)
+		ix.client(e.client).truncate(record.LSN(e.arg))
 	}
-	// kindCheckpoint (written by earlier versions) and kindPad carry
-	// nothing to replay.
 	return nil
 }
 

@@ -72,9 +72,9 @@ func (m *MemStore) readLocked(c record.ClientID, lsn record.LSN) (record.Record,
 	if m.closed {
 		return record.Record{}, ErrClosed
 	}
-	ref, err := lookupRef(m.ix.clients, c, lsn)
-	if err != nil {
-		return record.Record{}, err
+	ref, ok := m.ix.clients[c].lookup(lsn)
+	if !ok {
+		return record.Record{}, ErrNotStored
 	}
 	return m.records[c][ref.loc].Clone(), nil
 }
@@ -168,4 +168,18 @@ func (m *MemStore) Close() error {
 	defer m.mu.Unlock()
 	m.closed = true
 	return nil
+}
+
+// Usage implements UsageReporter. The memory store frees truncated
+// data immediately, so nothing is ever reclaimable.
+func (m *MemStore) Usage() Usage {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var u Usage
+	for _, recs := range m.records {
+		for i := range recs {
+			u.LiveBytes += int64(len(recs[i].Data))
+		}
+	}
+	return u
 }

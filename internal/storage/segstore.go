@@ -6,40 +6,49 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"distlog/internal/faultpoint"
-	"distlog/internal/fsutil"
 	"distlog/internal/record"
 )
 
-// SegStore is the log server's long-running durable backend (Section
-// 5.3, log space management): the engine's stream is cut into
-// fixed-capacity segment files, so space can be returned to the
-// filesystem a whole segment at a time. When an append would overflow
-// the active segment, the segment is synced, sealed, and a new one
-// opened; sealed segments are immutable.
+// SegStore is the log server's store (Section 4.3): one interleaved,
+// append-only stream of framed entries, indexed per client by the
+// volatile logIndex, cut into fixed-capacity segments on a volume so
+// that space is returned a whole segment at a time (Section 5.3). When
+// an append would overflow the active segment, the segment is synced,
+// sealed, and a new one opened; sealed segments are immutable.
 //
 // Reclamation works on the oldest sealed segment: records still live
 // (at or above their client's truncation point) are migrated into the
 // write-once ArchiveTier, the segment's effects are folded into a
 // durable manifest that seeds replay (so recovery never needs the
-// deleted bytes), and the segment file is deleted. The manifest plus
-// the surviving segments always replay to exactly the state the full
+// deleted bytes), and the segment is removed. The manifest plus the
+// surviving segments always replay to exactly the state the full
 // stream would have produced. Reads transparently span the tiers: the
 // volatile index resolves an LSN to a byte offset, and offsets below
 // the fold boundary are served from the archive.
 //
-// s.mu is never held across a call into the archive: archive I/O
-// (syncs, retirement rewrites) must not queue appends and forces.
+// s.mu guards everything below it and is never held across a device
+// sync (Force) or a call into the archive: archive I/O (syncs,
+// retirement rewrites) must not queue appends and forces.
 type SegStore struct {
-	engine
+	mu   sync.Mutex
 	segs *segments
+	ix   *logIndex
+
+	// boundary is the stream offset below which the volume holds
+	// nothing; the index routes records it places there to the archive.
+	boundary int64
+
+	dirty     bool
+	appendGen uint64 // bumped per append; Force clears dirty only if unchanged
+	closed    bool
+
+	scratch []byte // reusable encode buffer
 
 	// compactMu serializes CompactOnce passes. It is never taken by the
 	// foreground paths, so compaction's fsyncs (archive, manifest)
@@ -51,7 +60,7 @@ type SegStore struct {
 	floorMu sync.Mutex
 	floors  map[record.ClientID]record.LSN
 
-	opts SegOptions
+	archive ArchiveTier
 
 	// baseMeta is the index at the boundary: what the manifest
 	// serializes, and what folded segments are applied to. It advances
@@ -72,99 +81,76 @@ type SegOptions struct {
 	Archive ArchiveTier
 }
 
-func (o *SegOptions) fillDefaults() {
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = 64 << 20
-	}
-}
-
-// segment is one on-disk piece of the stream. Locations handed to the
-// index are absolute stream offsets: base + offset-in-file, so the
-// index never changes when segments are reclaimed.
+// segment is one piece of the stream on the volume. Locations handed
+// to the index are absolute stream offsets: base + offset-in-segment,
+// so the index never changes when segments are reclaimed.
 type segment struct {
-	base   int64
-	size   int64
-	f      *os.File
-	path   string
-	sealed bool
+	base int64
+	size int64
+	f    segFile
 }
 
 func (g *segment) end() int64 { return g.base + g.size }
 
-// segments is SegStore's medium: the stream as a run of segment files,
-// each starting where the one before it ends. The list changes under
-// the engine mutex; sync reaches the active file through an atomic so
-// it can run without that mutex.
+// segments is the stream as a run of segments on a volume, each
+// starting where the one before it ends. The list changes under s.mu;
+// sync reaches the active segment through an atomic, without s.mu.
 type segments struct {
-	dir      string
+	vol      volume
 	capacity int64
 	list     []*segment // base-ascending; the last is the active tail
-	tail     atomic.Pointer[os.File]
+	tail     atomic.Pointer[segment]
 }
 
-const segManifestName = "MANIFEST"
-
-func segFileName(base int64) string {
-	return fmt.Sprintf("seg-%020d.log", base)
-}
-
-func parseSegBase(name string) (int64, bool) {
-	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	base, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".log"), 10, 64)
-	if err != nil || base < 0 {
-		return 0, false
-	}
-	return base, true
-}
-
-// OpenSegStore opens (creating if needed) a segmented store in dir:
-// the manifest is loaded, stray segments below its boundary (left by a
-// crash between a manifest advance and the file removal) are deleted,
-// and the surviving segments are replayed over the manifest state.
+// OpenSegStore opens (creating if needed) a store whose segments are
+// files in dir.
 func OpenSegStore(dir string, opts SegOptions) (*SegStore, error) {
-	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	man, err := loadManifest(filepath.Join(dir, segManifestName))
+	return openSegStore(dirVolume{dir}, opts)
+}
+
+// openSegStore opens the store on a volume: the manifest is loaded,
+// stray segments below its boundary (left by a crash between a manifest
+// advance and the segment's removal) are removed, and the surviving
+// segments are replayed over the manifest state.
+func openSegStore(vol volume, opts SegOptions) (*SegStore, error) {
+	if opts.SegmentBytes == 0 {
+		opts.SegmentBytes = 64 << 20
+	}
+	buf, err := vol.loadManifest()
 	if err != nil {
 		return nil, err
 	}
-	names, err := os.ReadDir(dir)
+	boundary, live, err := decodeManifest(buf)
 	if err != nil {
 		return nil, err
 	}
-	var bases []int64
-	for _, de := range names {
-		base, ok := parseSegBase(de.Name())
-		if !ok {
-			continue
-		}
-		if base < man.boundary {
+	// The fold base starts from an independent copy of the same state.
+	_, baseMeta, _ := decodeManifest(buf)
+	bases, err := vol.list()
+	if err != nil {
+		return nil, err
+	}
+	segs := &segments{vol: vol, capacity: opts.SegmentBytes}
+	next := boundary
+	for _, base := range bases {
+		if base < boundary {
 			// Folded into the manifest before the crash; its bytes must
 			// not replay again.
-			if err := os.Remove(filepath.Join(dir, de.Name())); err != nil {
+			if err := vol.remove(base); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-
-	segs := &segments{dir: dir, capacity: opts.SegmentBytes}
-	live := man.seed()
-	next := man.boundary
-	for i, base := range bases {
 		if base != next {
 			segs.close()
-			return nil, fmt.Errorf("storage: segment gap in %s: want base %d, have %d", dir, next, base)
+			return nil, fmt.Errorf("storage: segment gap: want base %d, have %d", next, base)
 		}
 		g, err := segs.open(base)
 		if err == nil {
-			err = g.replay(live, i == len(bases)-1)
+			err = g.replay(live, base == bases[len(bases)-1])
 		}
 		if err != nil {
 			segs.close()
@@ -173,18 +159,16 @@ func OpenSegStore(dir string, opts SegOptions) (*SegStore, error) {
 		next = g.end()
 	}
 	if len(segs.list) == 0 {
-		if _, err := segs.create(man.boundary); err != nil {
+		if _, err := segs.create(boundary); err != nil {
 			return nil, err
 		}
 	}
 	s := &SegStore{
-		engine:   engine{m: segs, ix: live, boundary: man.boundary, end: next},
 		segs:     segs,
-		opts:     opts,
-		baseMeta: man.seed(),
-	}
-	if opts.Archive != nil {
-		s.cold = s.readArchive
+		ix:       live,
+		boundary: boundary,
+		archive:  opts.Archive,
+		baseMeta: baseMeta,
 	}
 	// Re-assert the replayed truncation floors on the cold tier, so an
 	// archive that lost its in-memory floors to the crash clamps reads
@@ -196,9 +180,9 @@ func OpenSegStore(dir string, opts SegOptions) (*SegStore, error) {
 }
 
 // noteFloor records a truncation floor for the archive; the next
-// archive call hands it over.
+// archive call hands it over. Callers may hold s.mu.
 func (s *SegStore) noteFloor(c record.ClientID, floor record.LSN) {
-	if s.opts.Archive == nil || floor == 0 {
+	if s.archive == nil || floor == 0 {
 		return
 	}
 	s.floorMu.Lock()
@@ -217,7 +201,7 @@ func (s *SegStore) passFloors() error {
 	s.floors = nil
 	s.floorMu.Unlock()
 	for c, floor := range floors {
-		if err := s.opts.Archive.Truncate(c, floor); err != nil {
+		if err := s.archive.Truncate(c, floor); err != nil {
 			for c, floor := range floors {
 				s.noteFloor(c, floor)
 			}
@@ -227,62 +211,43 @@ func (s *SegStore) passFloors() error {
 	return nil
 }
 
-// readArchive is the engine's cold tier: the archive, once it has the
-// floors noted since its last call.
+// readArchive reads the cold tier, once it has the floors noted since
+// its last call.
 func (s *SegStore) readArchive(c record.ClientID, from, to record.LSN, maxBytes int) ([]record.Record, error) {
 	if err := s.passFloors(); err != nil {
 		return nil, err
 	}
-	return s.opts.Archive.ReadRange(c, from, to, maxBytes)
+	return s.archive.ReadRange(c, from, to, maxBytes)
 }
 
-// open adds the existing segment file at base to the list as its tail.
+// open adds the existing segment at base to the list as its tail.
 func (m *segments) open(base int64) (*segment, error) {
-	path := filepath.Join(m.dir, segFileName(base))
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if n := len(m.list); n > 0 {
-		m.list[n-1].sealed = true
-	}
-	g := &segment{base: base, size: info.Size(), f: f, path: path}
-	m.list = append(m.list, g)
-	m.tail.Store(f)
-	return g, nil
+	f, size, err := m.vol.open(base)
+	return m.push(&segment{base: base, size: size, f: f}, err)
 }
 
 // create starts a fresh segment at base as the list's tail.
 func (m *segments) create(base int64) (*segment, error) {
-	path := filepath.Join(m.dir, segFileName(base))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := m.vol.create(base)
+	return m.push(&segment{base: base, f: f}, err)
+}
+
+func (m *segments) push(g *segment, err error) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// An entry that may not survive a crash must not take records: they
-	// would be acknowledged stable and then vanish with the file.
-	if err := fsutil.SyncDir(m.dir, FPSyncDir); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	g := &segment{base: base, f: f, path: path}
 	m.list = append(m.list, g)
-	m.tail.Store(f)
+	m.tail.Store(g)
 	return g, nil
 }
 
 // replay applies the segment's frames to the index. Only the final
-// (active) segment may carry a torn tail frame — it is truncated away,
-// which is safe because a frame is made stable, and so acknowledged,
-// only by a completed Force. A torn frame in a sealed segment is
-// corruption: seals sync before the next segment accepts a byte, so a
-// crash can never tear anything but the tail.
+// (active) segment may carry a torn tail frame — it is cut off, which
+// is safe because a frame is made stable, and so acknowledged, only by
+// a completed Force. A torn frame in a sealed segment is corruption:
+// seals sync before the next segment accepts a byte, so a crash can
+// never tear anything but the tail. A volume on which nothing can be
+// torn refuses the cut, and the open fails.
 func (g *segment) replay(ix *logIndex, last bool) error {
 	data := make([]byte, g.size)
 	if _, err := g.f.ReadAt(data, 0); err != nil {
@@ -290,11 +255,11 @@ func (g *segment) replay(ix *logIndex, last bool) error {
 	}
 	end, err := eachFrame(data, g.base, ix.apply)
 	if err != nil && !(last && errors.Is(err, ErrBadFrame)) {
-		return fmt.Errorf("storage: segment replay %s %w", g.path, err)
+		return fmt.Errorf("storage: replay of the segment at %d %w", g.base, err)
 	}
 	if end < g.end() {
-		if err := g.f.Truncate(end - g.base); err != nil {
-			return err
+		if terr := g.f.Truncate(end - g.base); terr != nil {
+			return fmt.Errorf("storage: replay of the segment at %d %w", g.base, errors.Join(err, terr))
 		}
 		g.size = end - g.base
 	}
@@ -311,7 +276,6 @@ func (m *segments) append(frame []byte) (int64, error) {
 		if err := a.f.Sync(); err != nil {
 			return 0, err
 		}
-		a.sealed = true
 		faultpoint.Hit(FPSegmentSeal)
 		var err error
 		if a, err = m.create(a.end()); err != nil {
@@ -326,9 +290,9 @@ func (m *segments) append(frame []byte) (int64, error) {
 	return loc, nil
 }
 
-// sync fsyncs the active segment; sealed segments were synced when they
-// sealed.
-func (m *segments) sync() error { return m.tail.Load().Sync() }
+// sync makes the active segment stable; sealed segments were synced
+// when they sealed.
+func (m *segments) sync() error { return m.tail.Load().f.Sync() }
 
 // readAt reads across as many segments as p spans.
 func (m *segments) readAt(p []byte, off int64) error {
@@ -348,7 +312,7 @@ func (m *segments) readAt(p []byte, off int64) error {
 	return nil
 }
 
-// close syncs the active segment and closes every file.
+// close syncs the active segment and closes every segment.
 func (m *segments) close() error {
 	var errs []error
 	if len(m.list) > 0 {
@@ -358,26 +322,6 @@ func (m *segments) close() error {
 		errs = append(errs, g.f.Close())
 	}
 	return errors.Join(errs...)
-}
-
-// Truncate implements Store. The truncation point is appended to the
-// stream; CompactOnce reclaims whole segments it kills. The cold tier
-// clamps its reads at the same floor and uses it to retire dead
-// volumes, but learns it only at the next archive call: this path
-// never waits on archive I/O.
-func (s *SegStore) Truncate(c record.ClientID, before record.LSN) error {
-	floor, err := s.truncate(c, before)
-	if err == nil {
-		s.noteFloor(c, floor)
-	}
-	return err
-}
-
-// archiveItem is one live record CompactOnce migrates to the cold
-// tier.
-type archiveItem struct {
-	c   record.ClientID
-	rec record.Record
 }
 
 // CompactOnce reclaims the oldest sealed segment, if any: its live
@@ -403,7 +347,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 
 	// Every pass hands over the floors reported since the last one, so
 	// the retirement pass the compactor runs next sees them.
-	if s.opts.Archive != nil {
+	if s.archive != nil {
 		if err := s.passFloors(); err != nil {
 			return false, err
 		}
@@ -446,7 +390,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 		entries = append(entries, segEntry{e: e, loc: loc})
 		return nil
 	}); err != nil {
-		return false, fmt.Errorf("storage: sealed segment %s %w", victim.path, err)
+		return false, fmt.Errorf("storage: sealed segment at %d %w", victim.base, err)
 	}
 
 	// Select the records the index still serves from this segment.
@@ -455,7 +399,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	var live []archiveItem
+	var live []streamEntry
 	for _, se := range entries {
 		if se.e.kind != kindRecord && se.e.kind != kindStagedCopy {
 			continue
@@ -465,22 +409,22 @@ func (s *SegStore) CompactOnce() (bool, error) {
 			continue
 		}
 		if ref, ok := ci.lookup(se.e.rec.LSN); ok && ref.loc == se.loc {
-			live = append(live, archiveItem{c: se.e.client, rec: se.e.rec})
+			live = append(live, se.e)
 		}
 	}
 	s.mu.Unlock()
 
 	if len(live) > 0 {
-		if s.opts.Archive == nil {
+		if s.archive == nil {
 			// Nowhere to migrate live records: the segment must be kept.
 			return false, nil
 		}
-		for _, it := range live {
-			if err := s.opts.Archive.Archive(it.c, it.rec); err != nil {
+		for _, e := range live {
+			if err := s.archive.Archive(e.client, e.rec); err != nil {
 				return false, err
 			}
 		}
-		if err := s.opts.Archive.Sync(); err != nil {
+		if err := s.archive.Sync(); err != nil {
 			return false, err
 		}
 	}
@@ -495,7 +439,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 	faultpoint.Hit(FPSegmentFold)
 	for _, se := range entries {
 		if err := s.baseMeta.apply(se.e, se.loc); err != nil {
-			return false, fmt.Errorf("storage: folding segment %s: %w", victim.path, err)
+			return false, fmt.Errorf("storage: folding the segment at %d: %w", victim.base, err)
 		}
 	}
 	// Advance the boundary: from here on, reads of the victim's offsets
@@ -509,7 +453,7 @@ func (s *SegStore) CompactOnce() (bool, error) {
 	s.mu.Unlock()
 	// Encoding and the manifest fsync happen outside s.mu too: compactMu
 	// orders the only writers of baseMeta and the boundary.
-	err := s.writeManifestFile(s.encodeManifest())
+	err := s.segs.vol.storeManifest(encodeManifest(victim.end(), s.baseMeta))
 	victim.f.Close()
 	if err != nil {
 		return false, err
@@ -518,236 +462,153 @@ func (s *SegStore) CompactOnce() (bool, error) {
 	if err := faultpoint.HitErr(FPSegmentDelete); err != nil {
 		return false, err
 	}
-	if err := os.Remove(victim.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := s.segs.vol.remove(victim.base); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
 // Usage implements UsageReporter. ReclaimableBytes counts sealed
-// segments — the space compaction can return to the online tier.
+// segments, every one but the active — the space compaction can return
+// to the online tier.
 func (s *SegStore) Usage() Usage {
 	var u Usage
 	s.mu.Lock()
 	for _, g := range s.segs.list {
 		u.LiveBytes += g.size
-		u.Segments++
-		if g.sealed {
-			u.SealedSegments++
-			u.ReclaimableBytes += g.size
-		}
 	}
+	u.Segments, u.SealedSegments = len(s.segs.list), len(s.segs.list)-1
+	u.ReclaimableBytes = u.LiveBytes - s.segs.active().size
 	s.mu.Unlock()
-	if s.opts.Archive != nil {
+	if s.archive != nil {
 		// Usage has no error to report; a failed hand-over is retried
 		// by the next archive call.
 		_ = s.passFloors()
-		u.ArchivedBytes = s.opts.Archive.Bytes()
-		if r, ok := s.opts.Archive.(interface{ ReclaimableBytes() int64 }); ok {
+		u.ArchivedBytes = s.archive.Bytes()
+		if r, ok := s.archive.(interface{ ReclaimableBytes() int64 }); ok {
 			u.ArchiveReclaimableBytes = r.ReclaimableBytes()
 		}
 	}
 	return u
 }
 
-// Boundary returns the replay boundary: the stream offset below which
-// segments have been folded into the manifest and their live records
-// archived.
-func (s *SegStore) Boundary() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.boundary
-}
-
 // --- manifest ---------------------------------------------------------
 
-// manifestState is the durable replay base: the per-client index
-// scalars and interval lists at the fold boundary, plus the metadata
-// of copies staged below the boundary but not yet installed there
-// (their data, being live, was archived; an install marker replayed
-// from a surviving segment indexes them by their old offsets, which
-// the read path redirects to the archive).
-type manifestState struct {
-	boundary int64
-	clients  []manifestClient
-	staged   []manifestStaged
-}
-
-type manifestClient struct {
-	id        record.ClientID
-	truncated record.LSN
-	lastLSN   record.LSN
-	lastEpoch record.Epoch
-	intervals []record.Interval
-}
-
-type manifestStaged struct {
-	client  record.ClientID
-	epoch   record.Epoch
-	lsn     record.LSN
-	present bool
-	loc     int64
-}
-
-// seed builds a fresh replay state representing the manifest: each
-// call returns independent instances, so the live index and the fold
-// base can both start from it.
-func (m *manifestState) seed() *logIndex {
-	rs := newLogIndex()
-	for _, mc := range m.clients {
-		ci := newClientIndex()
-		ci.truncated = mc.truncated
-		ci.lastLSN = mc.lastLSN
-		ci.lastEpoch = mc.lastEpoch
-		ci.intervals = append([]record.Interval(nil), mc.intervals...)
-		rs.clients[mc.id] = ci
-	}
-	for _, ms := range m.staged {
-		rec := record.Record{LSN: ms.lsn, Epoch: ms.epoch, Present: ms.present}
-		// Data stays behind: the record's bytes are in the archive, and
-		// the index redirects reads of below-boundary offsets there.
-		rs.stage.add(ms.client, rec, ms.loc)
-	}
-	return rs
-}
+// The manifest is the durable replay base: the fold boundary, each
+// client's index scalars and interval list at it, and the metadata of
+// copies staged below it but not yet installed there (their data, being
+// live, was archived; an install marker replayed from a surviving
+// segment indexes them by their old offsets, which the read path
+// redirects to the archive).
 
 const manifestMagic = uint32(0xD15C5E63) // "disc-seg"
 
-// encodeManifest serializes baseMeta and the boundary. Caller holds
-// compactMu, which orders every writer of both.
-func (s *SegStore) encodeManifest() []byte {
+// encodeManifest serializes the index at the boundary.
+func encodeManifest(boundary int64, base *logIndex) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, manifestMagic)
 	buf = append(buf, 1) // version
-	buf = binary.BigEndian.AppendUint64(buf, uint64(s.boundary))
-
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.baseMeta.clients)))
-	for _, c := range sortedClients(s.baseMeta.clients) {
-		ci := s.baseMeta.clients[c]
-		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ci.truncated))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ci.lastLSN))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ci.lastEpoch))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(boundary))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(base.clients)))
+	for _, c := range sortedClients(base.clients) {
+		ci := base.clients[c]
+		for _, v := range []uint64{uint64(c), uint64(ci.truncated), uint64(ci.lastLSN), uint64(ci.lastEpoch)} {
+			buf = binary.BigEndian.AppendUint64(buf, v)
+		}
 		buf = record.EncodeIntervals(buf, ci.intervals)
 	}
-
-	var staged []manifestStaged
-	for k, m := range s.baseMeta.stage.records {
+	// Staged copies as (client, epoch, LSN, present, offset), sorted.
+	var staged [][5]uint64
+	for k, m := range base.stage.records {
 		for lsn, sr := range m {
-			staged = append(staged, manifestStaged{
-				client: k.client, epoch: k.epoch, lsn: lsn,
-				present: sr.rec.Present, loc: sr.loc,
-			})
+			present := uint64(0)
+			if sr.rec.Present {
+				present = 1
+			}
+			staged = append(staged, [5]uint64{uint64(k.client), uint64(k.epoch), uint64(lsn), present, uint64(sr.loc)})
 		}
 	}
-	sort.Slice(staged, func(i, j int) bool {
-		if staged[i].client != staged[j].client {
-			return staged[i].client < staged[j].client
-		}
-		if staged[i].epoch != staged[j].epoch {
-			return staged[i].epoch < staged[j].epoch
-		}
-		return staged[i].lsn < staged[j].lsn
-	})
+	sort.Slice(staged, func(i, j int) bool { return slices.Compare(staged[i][:3], staged[j][:3]) < 0 })
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(staged)))
-	for _, ms := range staged {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ms.client))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ms.epoch))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ms.lsn))
-		if ms.present {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ms.loc))
+	for _, st := range staged {
+		buf = binary.BigEndian.AppendUint64(buf, st[0])
+		buf = binary.BigEndian.AppendUint64(buf, st[1])
+		buf = binary.BigEndian.AppendUint64(buf, st[2])
+		buf = append(buf, byte(st[3]))
+		buf = binary.BigEndian.AppendUint64(buf, st[4])
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// writeManifestFile durably replaces the manifest (tmp + fsync +
-// rename + directory sync).
-func (s *SegStore) writeManifestFile(buf []byte) error {
-	path := filepath.Join(s.segs.dir, segManifestName)
-	tmp := path + ".tmp"
-	if err := fsutil.WriteFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return fsutil.SyncDir(s.segs.dir, FPSyncDir)
-}
-
-// loadManifest reads the manifest at path; a missing file yields the
-// empty state (a brand-new store).
-func loadManifest(path string) (*manifestState, error) {
-	buf, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return &manifestState{}, nil
-	}
-	if err != nil {
-		return nil, err
+// decodeManifest decodes a stored manifest into its boundary and the
+// index at it; nil is the empty state of a brand-new store. Each call
+// returns an independent index.
+func decodeManifest(buf []byte) (int64, *logIndex, error) {
+	ix := newLogIndex()
+	if buf == nil {
+		return 0, ix, nil
 	}
 	if len(buf) < 4+1+8+4+4+4 {
-		return nil, fmt.Errorf("storage: manifest %s too short", path)
+		return 0, nil, errors.New("storage: manifest too short")
 	}
 	body, sum := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("storage: manifest %s checksum mismatch", path)
+		return 0, nil, errors.New("storage: manifest checksum mismatch")
 	}
 	if binary.BigEndian.Uint32(body) != manifestMagic {
-		return nil, fmt.Errorf("storage: manifest %s bad magic", path)
+		return 0, nil, errors.New("storage: manifest bad magic")
 	}
 	if body[4] != 1 {
-		return nil, fmt.Errorf("storage: manifest %s unknown version %d", path, body[4])
+		return 0, nil, fmt.Errorf("storage: manifest unknown version %d", body[4])
 	}
-	m := &manifestState{boundary: int64(binary.BigEndian.Uint64(body[5:]))}
-	off := 13
-	short := fmt.Errorf("storage: manifest %s truncated", path)
+	d := decoder{b: body[5:]}
+	boundary := int64(d.u64())
+	for n := d.u32(); n > 0 && d.err == nil; n-- {
+		c, ci := record.ClientID(d.u64()), newClientIndex()
+		ci.truncated, ci.lastLSN, ci.lastEpoch = record.LSN(d.u64()), record.LSN(d.u64()), record.Epoch(d.u64())
+		ci.intervals = d.intervals()
+		ix.clients[c] = ci
+	}
+	for n := d.u32(); n > 0 && d.err == nil; n-- {
+		c, epoch, lsn := record.ClientID(d.u64()), record.Epoch(d.u64()), record.LSN(d.u64())
+		present, loc := d.take(1)[0] == 1, int64(d.u64())
+		// Data stays behind: the record's bytes are in the archive, and
+		// the index redirects reads of below-boundary offsets there.
+		ix.stage.add(c, record.Record{LSN: lsn, Epoch: epoch, Present: present}, loc)
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errors.New("storage: manifest has trailing bytes")
+	}
+	if d.err != nil {
+		return 0, nil, fmt.Errorf("storage: manifest: %w", d.err)
+	}
+	return boundary, ix, nil
+}
 
-	if len(body)-off < 4 {
-		return nil, short
-	}
-	nc := int(binary.BigEndian.Uint32(body[off:]))
-	off += 4
-	for i := 0; i < nc; i++ {
-		if len(body)-off < 32 {
-			return nil, short
-		}
-		mc := manifestClient{
-			id:        record.ClientID(binary.BigEndian.Uint64(body[off:])),
-			truncated: record.LSN(binary.BigEndian.Uint64(body[off+8:])),
-			lastLSN:   record.LSN(binary.BigEndian.Uint64(body[off+16:])),
-			lastEpoch: record.Epoch(binary.BigEndian.Uint64(body[off+24:])),
-		}
-		off += 32
-		ivs, used, err := record.DecodeIntervals(body[off:])
-		if err != nil {
-			return nil, fmt.Errorf("storage: manifest %s: %v", path, err)
-		}
-		off += used
-		mc.intervals = ivs
-		m.clients = append(m.clients, mc)
-	}
+// decoder reads big-endian fields off the front of b. The first read
+// past the end sets err; it and every later read yield zeros.
+type decoder struct {
+	b   []byte
+	err error
+}
 
-	if len(body)-off < 4 {
-		return nil, short
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && len(d.b) < n {
+		d.err = record.ErrTruncated
 	}
-	ns := int(binary.BigEndian.Uint32(body[off:]))
-	off += 4
-	for i := 0; i < ns; i++ {
-		if len(body)-off < 33 {
-			return nil, short
-		}
-		m.staged = append(m.staged, manifestStaged{
-			client:  record.ClientID(binary.BigEndian.Uint64(body[off:])),
-			epoch:   record.Epoch(binary.BigEndian.Uint64(body[off+8:])),
-			lsn:     record.LSN(binary.BigEndian.Uint64(body[off+16:])),
-			present: body[off+24] == 1,
-			loc:     int64(binary.BigEndian.Uint64(body[off+25:])),
-		})
-		off += 33
+	if d.err != nil {
+		return make([]byte, n)
 	}
-	return m, nil
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+func (d *decoder) u64() uint64 { return binary.BigEndian.Uint64(d.take(8)) }
+func (d *decoder) u32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
+
+func (d *decoder) intervals() []record.Interval {
+	ivs, used, err := record.DecodeIntervals(d.b)
+	d.err = errors.Join(d.err, err)
+	d.take(used)
+	return ivs
 }

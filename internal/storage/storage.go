@@ -3,22 +3,23 @@
 // clients, indexed per client by an append-forest, with interval lists
 // kept in volatile memory.
 //
-// One engine implements the Store methods over a narrow medium
-// interface, and two durable stores put it on a medium:
+// There is one durable store, SegStore. It cuts the stream into
+// segments, so that space is freed a whole segment at a time and live
+// records migrate to an archive tier (Section 5.3), and it keeps them on
+// one of two volumes:
 //
-//   - SegStore cuts the stream into segment files with fsync-on-force,
-//     and reclaims whole segments into an archive tier (Section 5.3);
-//     the standalone UDP server daemon runs it.
-//   - DiskStore layers the stream on the simulated track disk behind a
-//     battery-backed NVRAM buffer (Section 5.1): appends and forces
-//     complete at memory speed, full tracks are drained to disk, and
-//     all committed data survives a power failure.
+//   - a directory of segment files, made stable by fsync on force (the
+//     standalone UDP server daemon runs it: OpenSegStore);
+//   - the simulated track disk behind battery-backed NVRAM (Section
+//     5.1): each segment fills a slot of tracks, appends and forces
+//     complete at memory speed, and full tracks are written to disk in
+//     order (OpenTrackStore).
 //
 // MemStore keeps records in memory without framing (no durability;
 // protocol tests and the paper's "second stage" prototype, which stored
 // log data in server virtual memory). It shares only the index rules
-// with the engine, which makes it the independent oracle the durable
-// stores are checked against.
+// with SegStore, which makes it the independent oracle the durable
+// store is checked against on both volumes.
 package storage
 
 import (
@@ -57,10 +58,9 @@ type Store interface {
 	// guaranteed stable only after Force returns.
 	Append(c record.ClientID, rec record.Record) error
 
-	// Force makes all previously appended records stable. For the
-	// NVRAM-backed store this is a memory-speed no-op (the staging
-	// buffer is itself non-volatile); for the segmented store it is
-	// fsync.
+	// Force makes all previously appended records stable: fsync on a
+	// directory volume, nothing on the track volume, whose NVRAM
+	// staging buffer is itself non-volatile.
 	Force() error
 
 	// Read returns the stored record with the highest epoch number for
@@ -134,8 +134,7 @@ type Usage struct {
 	// free right now: sealed volumes (and index files) wholly below
 	// every client's truncation floor.
 	ArchiveReclaimableBytes int64
-	// Segments counts online segment files; the track-disk store
-	// reports 1, the memory store 0.
+	// Segments counts online segments; the memory store reports 0.
 	Segments int
 	// SealedSegments counts segments closed to further appends.
 	SealedSegments int
@@ -259,9 +258,10 @@ func (ci *clientIndex) truncate(before record.LSN) {
 	}
 }
 
-// lookup resolves an LSN to the highest-epoch entry.
+// lookup resolves an LSN to the highest-epoch entry; a nil index holds
+// nothing.
 func (ci *clientIndex) lookup(lsn record.LSN) (entryRef, bool) {
-	if lsn < ci.truncated {
+	if ci == nil || lsn < ci.truncated {
 		return entryRef{}, false
 	}
 	fRef, fOK := ci.forest.Lookup(uint64(lsn))
@@ -279,17 +279,6 @@ func (ci *clientIndex) lookup(lsn record.LSN) (entryRef, bool) {
 	default:
 		return entryRef{}, false
 	}
-}
-
-// lookupRef resolves (client, LSN) in a backend's index map, mapping a
-// miss at either level to ErrNotStored.
-func lookupRef(clients map[record.ClientID]*clientIndex, c record.ClientID, lsn record.LSN) (entryRef, error) {
-	if ci := clients[c]; ci != nil {
-		if ref, ok := ci.lookup(lsn); ok {
-			return ref, nil
-		}
-	}
-	return entryRef{}, ErrNotStored
 }
 
 // readRange assembles a ReadRange reply from a backend's own
@@ -368,9 +357,9 @@ type stageKey struct {
 }
 
 // stagedRec is a staged CopyLog record together with its stream
-// location (durable backends write staged records to the stream
-// immediately; the location lets InstallCopies index them without
-// rewriting the data).
+// location (SegStore writes staged records to the stream immediately;
+// the location lets InstallCopies index them without rewriting the
+// data).
 type stagedRec struct {
 	rec record.Record
 	loc int64

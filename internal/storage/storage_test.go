@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"distlog/internal/disk"
-	"distlog/internal/nvram"
 	"distlog/internal/record"
 )
 
@@ -15,19 +13,9 @@ import (
 func backends(t *testing.T) map[string]func(t *testing.T) Store {
 	return map[string]func(t *testing.T) Store{
 		"mem": func(t *testing.T) Store { return NewMemStore() },
-		"disk": func(t *testing.T) Store {
-			g := disk.DefaultGeometry()
-			g.TrackSize = 512 // small tracks so tests cross boundaries
-			d, err := disk.New(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewDiskStore(d, nvram.New(4*g.TrackSize))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
+		// The modelled disk, with small tracks so tests cross track
+		// boundaries.
+		"disk": func(t *testing.T) Store { return newDiskRig(t, 512).open(t) },
 		// One segment file that never seals in a test — the shape
 		// logserverd runs by default — so extent reads span many frames.
 		"file": func(t *testing.T) Store {

@@ -21,16 +21,14 @@ import (
 //	Payload Len bytes
 //	CRC32   uint32  (IEEE, over Kind+Len+Payload)
 //
-// Kind 0 is padding: a decoder skips the remainder of the current
-// track when it sees it (only the track-oriented DiskStore pads).
+// Any other lead byte — a zero from a block that was never written, say
+// — is a bad frame.
 
 // Entry kinds.
 const (
-	kindPad        = 0x00
 	kindRecord     = 0x01 // payload: ClientID + record
 	kindStagedCopy = 0x02 // payload: ClientID + record (CopyLog staging)
 	kindInstall    = 0x03 // payload: ClientID + epoch  (InstallCopies commit)
-	kindCheckpoint = 0x04 // payload: interval-list checkpoint (no longer written)
 	kindTruncate   = 0x05 // payload: ClientID + before-LSN (Section 5.3)
 )
 
@@ -44,8 +42,7 @@ type streamEntry struct {
 	kind   byte
 	client record.ClientID
 	rec    record.Record // kindRecord, kindStagedCopy
-	epoch  record.Epoch  // kindInstall
-	before record.LSN    // kindTruncate
+	arg    uint64        // the epoch of kindInstall, the before-LSN of kindTruncate
 }
 
 // appendFrame wraps payload in a frame of the given kind.
@@ -65,30 +62,16 @@ func encodeRecordEntry(buf []byte, kind byte, c record.ClientID, rec record.Reco
 	return appendFrame(buf, kind, payload)
 }
 
-// encodeInstallEntry frames an InstallCopies commit marker.
-func encodeInstallEntry(buf []byte, c record.ClientID, epoch record.Epoch) []byte {
+// encodeArgEntry frames an InstallCopies commit marker (kindInstall,
+// arg the epoch) or a truncation point (kindTruncate, arg the LSN).
+func encodeArgEntry(buf []byte, kind byte, c record.ClientID, arg uint64) []byte {
 	payload := binary.BigEndian.AppendUint64(nil, uint64(c))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(epoch))
-	return appendFrame(buf, kindInstall, payload)
+	return appendFrame(buf, kind, binary.BigEndian.AppendUint64(payload, arg))
 }
 
-// encodeTruncateEntry frames a truncation point.
-func encodeTruncateEntry(buf []byte, c record.ClientID, before record.LSN) []byte {
-	payload := binary.BigEndian.AppendUint64(nil, uint64(c))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(before))
-	return appendFrame(buf, kindTruncate, payload)
-}
-
-// decodeFrame decodes one frame from the front of buf. A kindPad lead
-// byte returns (entry{kind: kindPad}, 1, nil); the caller skips the
-// rest of the track. n == 0 with a nil error means buf is empty.
+// decodeFrame decodes one frame from the front of buf and returns its
+// length.
 func decodeFrame(buf []byte) (streamEntry, int, error) {
-	if len(buf) == 0 {
-		return streamEntry{}, 0, nil
-	}
-	if buf[0] == kindPad {
-		return streamEntry{kind: kindPad}, 1, nil
-	}
 	if len(buf) < frameOverhead {
 		return streamEntry{}, 0, fmt.Errorf("%w: truncated header", ErrBadFrame)
 	}
@@ -114,51 +97,18 @@ func decodeFrame(buf []byte) (streamEntry, int, error) {
 		if err != nil {
 			return streamEntry{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
-		if n != len(payload)-8 {
-			return streamEntry{}, 0, fmt.Errorf("%w: trailing bytes in record payload", ErrBadFrame)
+		if n != len(payload)-8 || rec.EncodedSize() != n {
+			return streamEntry{}, 0, fmt.Errorf("%w: record payload is not as the store writes it", ErrBadFrame)
 		}
 		e.rec = rec
-	case kindInstall:
+	case kindInstall, kindTruncate:
 		if len(payload) != 16 {
-			return streamEntry{}, 0, fmt.Errorf("%w: install payload %d bytes", ErrBadFrame, len(payload))
+			return streamEntry{}, 0, fmt.Errorf("%w: kind 0x%02x payload %d bytes", ErrBadFrame, kind, len(payload))
 		}
 		e.client = record.ClientID(binary.BigEndian.Uint64(payload[:8]))
-		e.epoch = record.Epoch(binary.BigEndian.Uint64(payload[8:16]))
-	case kindTruncate:
-		if len(payload) != 16 {
-			return streamEntry{}, 0, fmt.Errorf("%w: truncate payload %d bytes", ErrBadFrame, len(payload))
-		}
-		e.client = record.ClientID(binary.BigEndian.Uint64(payload[:8]))
-		e.before = record.LSN(binary.BigEndian.Uint64(payload[8:16]))
-	case kindCheckpoint:
-		if err := checkCheckpointPayload(payload); err != nil {
-			return streamEntry{}, 0, err
-		}
+		e.arg = binary.BigEndian.Uint64(payload[8:16])
 	default:
 		return streamEntry{}, 0, fmt.Errorf("%w: unknown kind 0x%02x", ErrBadFrame, kind)
 	}
 	return e, end + 4, nil
-}
-
-// checkCheckpointPayload validates an interval-list checkpoint: a
-// client count, then per client its ID and encoded interval list.
-// Earlier versions wrote these frames; replay skips them.
-func checkCheckpointPayload(payload []byte) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("%w: short checkpoint", ErrBadFrame)
-	}
-	n := int(binary.BigEndian.Uint32(payload))
-	off := 4
-	for i := 0; i < n; i++ {
-		if len(payload)-off < 8 {
-			return fmt.Errorf("%w: truncated checkpoint", ErrBadFrame)
-		}
-		off += 8
-		_, used, err := record.DecodeIntervals(payload[off:])
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
-		off += used
-	}
-	return nil
 }

@@ -116,7 +116,7 @@ func TestStoreTruncatePerClientIsolation(t *testing.T) {
 	})
 }
 
-func TestDiskStoreTruncateSurvivesCrash(t *testing.T) {
+func TestTrackStoreTruncateSurvivesCrash(t *testing.T) {
 	rig := newDiskRig(t, 512)
 	s := rig.open(t)
 	const c = record.ClientID(1)
@@ -163,7 +163,7 @@ func TestSegStoreCompactKeepsInstalledCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	compactAll(t, s)
-	if s.Boundary() == 0 {
+	if boundaryOf(s) == 0 {
 		t.Fatal("nothing was compacted")
 	}
 	got, err := s.Read(c, 10)
@@ -183,6 +183,13 @@ func TestSegStoreCompactKeepsInstalledCopies(t *testing.T) {
 	if _, err := s2.Read(c, 5); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("Read(5) below the floor after reopen: %v", err)
 	}
+}
+
+// boundaryOf returns the store's fold boundary.
+func boundaryOf(s *SegStore) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.boundary
 }
 
 // compactAll runs CompactOnce until it reclaims nothing more.
