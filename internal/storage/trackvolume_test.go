@@ -41,8 +41,7 @@ type ackedLog struct {
 	acked []record.Record
 }
 
-// add appends and forces one record, and reports whether the append
-// was acknowledged.
+// add appends and forces one record; once Force returns it is acked.
 func (l *ackedLog) add(t *testing.T, s *SegStore) {
 	t.Helper()
 	l.next++
