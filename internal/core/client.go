@@ -993,6 +993,18 @@ func (l *ReplicatedLog) sendStreamLocked(sess *session, force bool) error {
 // awaitServer waits until the given server acknowledges target,
 // retransmitting on NACK or timeout, and ultimately failing over.
 func (l *ReplicatedLog) awaitServer(addr string, target record.LSN) error {
+	if l.awaitAck(addr, target) {
+		l.m.waiterAcks.Add(1)
+		return nil
+	}
+	return l.failover(addr, target)
+}
+
+// awaitAck waits until the server at addr acknowledges target: it
+// services the server's NACKs, re-dials it when it resets the session,
+// and on each of up to Retries timeouts retransmits the stream. False
+// means the server is given up on.
+func (l *ReplicatedLog) awaitAck(addr string, target record.LSN) bool {
 	for attempt := 0; attempt <= l.cfg.Retries; attempt++ {
 		l.mu.Lock()
 		sess := l.sessions[addr]
@@ -1002,8 +1014,7 @@ func (l *ReplicatedLog) awaitServer(addr string, target record.LSN) error {
 		}
 		acked, nacked, err := sess.waitAck(target, time.Now().Add(l.cfg.CallTimeout))
 		if acked {
-			l.m.waiterAcks.Add(1)
-			return nil
+			return true
 		}
 		if err != nil {
 			if errors.Is(err, ErrServerReset) {
@@ -1057,7 +1068,7 @@ func (l *ReplicatedLog) awaitServer(addr string, target record.LSN) error {
 			break
 		}
 	}
-	return l.failover(addr, target)
+	return false
 }
 
 // serviceMissing answers a server's MissingInterval NACKs by resending
@@ -1168,12 +1179,9 @@ func (l *ReplicatedLog) failover(failed string, target record.LSN) error {
 		}
 		l.mu.Unlock()
 
-		acked, _, _ := sess.waitAck(target, time.Now().Add(l.cfg.CallTimeout))
-		if !acked && target > 0 {
-			// Give the spare one full retry round before moving on.
-			acked, _, _ = sess.waitAck(target, time.Now().Add(l.cfg.CallTimeout))
-		}
-		if !acked && len(l.outstandingSnapshot()) > 0 {
+		// The spare gets the patience a write-set server gets: a lost
+		// frame draws a NACK to service, a lost ack a retransmission.
+		if !l.awaitAck(addr, target) && len(l.outstandingSnapshot()) > 0 {
 			continue
 		}
 

@@ -235,49 +235,50 @@ var legacyCheckpointFrame = []byte{
 	0x25, 0x79, 0x7d, 0xe2, // CRC-32
 }
 
-func TestLegacyCheckpointFrameIsBad(t *testing.T) {
+// At the end of a directory volume's active segment a checkpoint frame
+// is a torn tail: cut off, and the store goes on.
+func TestSegStoreLegacyCheckpointFrameIsTorn(t *testing.T) {
+	const c = record.ClientID(9)
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSeg(t, s, c, 10)
+	s.Close()
+	appendToSegment(t, dir, legacyCheckpointFrame)
+
+	s, err = OpenSegStore(dir, SegOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(c, rec(11, 1, "after")); err != nil {
+		t.Fatal(err)
+	}
+	ivs := s.Intervals(c)
+	if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 11}) {
+		t.Fatalf("Intervals = %v", ivs)
+	}
+}
+
+// On the track volume nothing is torn: a checkpoint frame fails the
+// open.
+func TestTrackStoreLegacyCheckpointFrameFailsOpen(t *testing.T) {
 	if _, _, err := decodeFrame(legacyCheckpointFrame); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("decodeFrame(checkpoint) = %v, want ErrBadFrame", err)
 	}
 	const c = record.ClientID(9)
-	// At the end of a directory volume's active segment it is a torn
-	// tail: cut off, and the store goes on.
-	t.Run("seg", func(t *testing.T) {
-		dir := t.TempDir()
-		s, err := OpenSegStore(dir, SegOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillSeg(t, s, c, 10)
-		s.Close()
-		appendToSegment(t, dir, legacyCheckpointFrame)
-
-		s, err = OpenSegStore(dir, SegOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if err := s.Append(c, rec(11, 1, "after")); err != nil {
-			t.Fatal(err)
-		}
-		ivs := s.Intervals(c)
-		if len(ivs) != 1 || ivs[0] != (record.Interval{Epoch: 1, Low: 1, High: 11}) {
-			t.Fatalf("Intervals = %v", ivs)
-		}
-	})
-	// On the track volume nothing is torn: it fails the open.
-	t.Run("disk", func(t *testing.T) {
-		rig := newDiskRig(t, 512)
-		s := rig.open(t)
-		fillClient(t, s, c, 10)
-		rig.crash(s)
-		if err := rig.nv.Append(legacyCheckpointFrame); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenTrackStore(rig.d, rig.nv, nil); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("open over a checkpoint frame = %v, want ErrBadFrame", err)
-		}
-	})
+	rig := newDiskRig(t, 512)
+	s := rig.open(t)
+	fillClient(t, s, c, 10)
+	rig.crash(s)
+	if err := rig.nv.Append(legacyCheckpointFrame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenTrackStore(rig.d, rig.nv, nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("open over a checkpoint frame = %v, want ErrBadFrame", err)
+	}
 }
 
 // appendToSegment appends raw bytes to the newest segment file in dir.

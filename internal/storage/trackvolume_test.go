@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"distlog/internal/faultpoint"
 	"distlog/internal/record"
@@ -279,14 +280,28 @@ func TestTrackStoreCompactsBesideAppends(t *testing.T) {
 	rig := newTrackRig(t, trackGeometry(64, 1024))
 	rig.arch = newMemArchive()
 	s := rig.open(t)
-	const clients, perClient = 3, 400
+	// Each appender holds at LSN hold until the compactor has reclaimed
+	// a segment, so a reclaim always falls between appends however the
+	// goroutines are scheduled: once all of them wait there, every
+	// client has truncated its first 240 records and the first segments
+	// hold nothing live.
+	const clients, perClient, hold = 3, 400, 300
 	var wg sync.WaitGroup
 	errs := make(chan error, clients+1)
+	reclaimed := make(chan struct{})
 	for c := record.ClientID(1); c <= clients; c++ {
 		wg.Add(1)
 		go func(c record.ClientID) {
 			defer wg.Done()
 			for i := record.LSN(1); i <= perClient; i++ {
+				if i == hold {
+					select {
+					case <-reclaimed:
+					case <-time.After(10 * time.Second):
+						errs <- fmt.Errorf("client %d: no segment reclaimed while appends held", c)
+						return
+					}
+				}
 				err := s.Append(c, rec(i, 1, fmt.Sprintf("c%d-%d", c, i)))
 				if err == nil && i%50 == 0 {
 					err = s.Truncate(c, i-10)
@@ -302,15 +317,21 @@ func TestTrackStoreCompactsBesideAppends(t *testing.T) {
 	compacted := make(chan struct{})
 	go func() {
 		defer close(compacted)
+		held := true
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := s.CompactOnce(); err != nil {
+			ok, err := s.CompactOnce()
+			if err != nil {
 				errs <- err
 				return
+			}
+			if ok && held {
+				close(reclaimed)
+				held = false
 			}
 		}
 	}()
